@@ -2,13 +2,18 @@
 // inverted-index construction, next() queries (binary-search point queries
 // vs the galloping PositionCursor), root instance sets, INSgrow steps
 // (cursor-based scratch-buffer fast path vs the pre-cursor reference), one
-// CloGSgrow closure check (memoized vs seed path), and whole supComp runs
-// as pattern length grows.
+// DFS node's append-extension loop (list table build + one INSgrow per
+// candidate), one CloGSgrow closure check (memoized vs seed path), and
+// whole supComp runs as pattern length grows.
 //
 // The INSgrow and closure-check pairs are the measured halves of the
 // ablation acceptance: BM_INSgrow* vs BM_INSgrow*Reference is the
 // INSgrow-throughput claim, BM_ClosureCheckMemoized vs BM_ClosureCheckSeed
-// the per-node closure-check claim (see DESIGN.md §5).
+// the per-node closure-check claim (see DESIGN.md §5). The
+// BM_AppendExtension* rows time the engine's per-node append loop on a
+// tcas-like node (runs of 1-2 instances) and a Quest root node (most
+// candidates absent from most sequences) — the two shapes the per-node
+// list table was built for.
 //
 // The *Plain variants re-run the cursor, INSgrow, and index-build
 // benchmarks on an uncompressed-postings index (IndexBuildOptions): the
@@ -18,10 +23,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include "core/clogsgrow.h"
 #include "core/growth_engine.h"
 #include "core/instance_growth.h"
 #include "core/inverted_index.h"
 #include "core/miner_options.h"
+#include "core/node_list_table.h"
+#include "datagen/models.h"
 #include "datagen/quest_generator.h"
 
 namespace gsgrow {
@@ -111,6 +119,22 @@ const InvertedIndex& LongPlainIndex() {
       LongDb(), IndexBuildOptions{.compress_postings = false});
   return *index;
 }
+
+// tcas-like loop traces at the benchmark's batch shape (200 traces, closed
+// mining at min_sup 75): few closed nodes, runs of 1-2 instances per
+// sequence, many next() queries per node.
+const SequenceDatabase& TcasDb() {
+  static SequenceDatabase* db =
+      new SequenceDatabase(GenerateTcasTraces(200, 3));
+  return *db;
+}
+
+const InvertedIndex& TcasIndex() {
+  static InvertedIndex* index = new InvertedIndex(TcasDb());
+  return *index;
+}
+
+constexpr uint64_t kTcasMinSupport = 75;
 
 // Most frequent events of a corpus, for stable pattern construction.
 std::vector<EventId> TopEvents(const InvertedIndex& index, size_t k) {
@@ -318,31 +342,124 @@ void BM_INSgrowDenseReference(benchmark::State& state) {
 }
 BENCHMARK(BM_INSgrowDenseReference);
 
-// One full CloGSgrow closure check (CCheck + LBCheck scan) on a
-// representative node of the dense corpus.
-void ClosureCheck(benchmark::State& state, bool memoized) {
-  const InvertedIndex& index = DenseIndex();
-  std::vector<EventId> top = TopEvents(index, 3);
-  const std::vector<EventId> pattern = {top[0], top[1], top[2], top[0]};
+// One DFS node, materialized the way the engine holds it: the prefix
+// support sets of `pattern` and their supports.
+struct BenchNode {
+  std::vector<EventId> pattern;
   std::vector<SupportSet> prefix_sets;
   std::vector<uint64_t> supports;
-  for (size_t j = 1; j <= pattern.size(); ++j) {
-    Pattern prefix(std::vector<EventId>(pattern.begin(), pattern.begin() + j));
-    SupportSet set = ComputeSupportSet(index, prefix);
-    supports.push_back(set.size());
-    prefix_sets.push_back(std::move(set));
+  MiningStats stats;
+  NodeListTable lists;
+
+  BenchNode(const InvertedIndex& index, std::vector<EventId> events)
+      : pattern(std::move(events)) {
+    for (size_t j = 1; j <= pattern.size(); ++j) {
+      SupportSet set = ComputeSupportSet(
+          index, Pattern(std::vector<EventId>(pattern.begin(),
+                                              pattern.begin() + j)));
+      supports.push_back(set.size());
+      prefix_sets.push_back(std::move(set));
+    }
   }
-  if (supports.back() == 0) {
-    state.SkipWithError("pattern has no instances; pick denser events");
+
+  GrowthNode View() {
+    return GrowthNode{pattern, prefix_sets, supports, stats, nullptr, &lists};
+  }
+};
+
+// A closed length-4 pattern of the tcas-like corpus — the longest-running
+// closure check shape there: no equal-support extension exists, so the
+// scan covers every (gap, candidate) pair. Picked deterministically as the
+// highest-support closed pattern of length 4.
+std::vector<EventId> TcasClosedPattern() {
+  MinerOptions options;
+  options.min_support = kTcasMinSupport;
+  options.max_pattern_length = 4;
+  const MiningResult closed = MineClosedFrequent(TcasIndex(), options);
+  const PatternRecord* best = nullptr;
+  for (const PatternRecord& r : closed.patterns) {
+    if (r.pattern.size() != 4) continue;
+    if (best == nullptr || r.support > best->support) best = &r;
+  }
+  return best == nullptr ? std::vector<EventId>{} : best->pattern.events();
+}
+
+// One node's append-extension loop, as the engine runs it: reset the list
+// table to the node's rows, resolve the candidate columns, and grow the
+// node's support set by every candidate.
+void AppendExtension(benchmark::State& state, const InvertedIndex& index,
+                     std::vector<EventId> pattern,
+                     const std::vector<EventId>& candidates) {
+  if (pattern.empty() || candidates.empty()) {
+    state.SkipWithError("no node to extend");
     return;
   }
+  BenchNode node(index, std::move(pattern));
+  UnconstrainedExtension extension(index);
+  GrownChild child;
+  for (auto _ : state) {
+    node.lists.Reset(index, node.prefix_sets.back());
+    node.lists.AddColumns(candidates);
+    node.lists.Build();
+    const GrowthNode view = node.View();
+    for (EventId e : candidates) {
+      extension.ExtendInto(view, e, child);
+      benchmark::DoNotOptimize(child.support);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(candidates.size()));
+  state.counters["next_queries_per_node"] =
+      static_cast<double>(node.stats.next_queries) /
+      static_cast<double>(state.iterations());
+}
+
+// Events frequent enough to be append candidates at `min_support`.
+std::vector<EventId> FrequentEvents(const InvertedIndex& index,
+                                    uint64_t min_support) {
+  std::vector<EventId> events;
+  for (EventId e : index.present_events()) {
+    if (index.TotalCount(e) >= min_support) events.push_back(e);
+  }
+  return events;
+}
+
+void BM_AppendExtensionTcas(benchmark::State& state) {
+  const InvertedIndex& index = TcasIndex();
+  AppendExtension(state, index, TcasClosedPattern(),
+                  FrequentEvents(index, kTcasMinSupport));
+}
+BENCHMARK(BM_AppendExtensionTcas);
+
+// A Quest root: the most frequent event of the sparse corpus, extended by
+// every event frequent at a 1% threshold.
+void BM_AppendExtensionQuest(benchmark::State& state) {
+  const InvertedIndex& index = TestIndex();
+  AppendExtension(state, index, {TopEvents(index, 1)[0]},
+                  FrequentEvents(index, TestDb().size() / 100));
+}
+BENCHMARK(BM_AppendExtensionQuest);
+
+// One full CloGSgrow closure check (CCheck + LBCheck scan) on a closed node
+// of the tcas-like corpus, including the per-node preparation the engine
+// does before it (list table rows, candidate filter, column resolution).
+void ClosureCheck(benchmark::State& state, bool memoized) {
+  const InvertedIndex& index = TcasIndex();
+  std::vector<EventId> pattern = TcasClosedPattern();
+  if (pattern.empty()) {
+    state.SkipWithError("no closed length-4 pattern in the tcas corpus");
+    return;
+  }
+  BenchNode node(index, std::move(pattern));
   MinerOptions options;
   options.use_memoized_closure = memoized;
   ClosurePruning pruning(index, options);
-  MiningStats stats;
-  const GrowthNode node{pattern, prefix_sets, supports, stats};
   for (auto _ : state) {
-    EmitDecision decision = pruning.Decide(node, false);
+    const GrowthNode view = node.View();
+    node.lists.Reset(index, node.prefix_sets.back());
+    pruning.PrepareNode(view, node.lists);
+    node.lists.Build();
+    EmitDecision decision = pruning.Decide(view, false);
     benchmark::DoNotOptimize(decision.emit);
   }
   state.SetItemsProcessed(state.iterations());

@@ -48,7 +48,8 @@ GrownChild UnconstrainedExtension::Root(EventId e) const {
 
 void UnconstrainedExtension::ExtendInto(const GrowthNode& node, EventId e,
                                         GrownChild& out) {
-  GrowSupportSetInto(*index_, node.prefix_sets.back(), e, out.set,
+  GrowSupportSetInto(*node.lists, node.prefix_sets.back(),
+                     node.lists->Column(e), out.set,
                      &node.stats.next_queries);
   node.stats.insgrow_calls++;
   out.support = out.set.size();
@@ -73,7 +74,8 @@ void BoundedGapExtension::ExtendInto(const GrowthNode& node, EventId e,
   // dropping the constraint only adds instances. A child that is infrequent
   // even unconstrained needs no flow computation — report the (under-
   // min_support) upper bound and let the engine prune it.
-  GrowSupportSetInto(*index_, node.prefix_sets.back(), e, out.set,
+  GrowSupportSetInto(*node.lists, node.prefix_sets.back(),
+                     node.lists->Column(e), out.set,
                      &node.stats.next_queries);
   node.stats.insgrow_calls++;
   const uint64_t upper_bound = out.set.size();
@@ -115,6 +117,43 @@ EmitDecision ClosurePruning::Decide(const GrowthNode& node,
   return EmitDecision{.emit = !non_closed, .prune_subtree = false};
 }
 
+void ClosurePruning::PrepareNode(const GrowthNode& node,
+                                 NodeListTable& lists) {
+  if (!options_->use_memoized_closure) return;
+  const InvertedIndex& index = *index_;
+  const uint64_t support = node.prefix_sets.back().size();
+  restricted_built_ = 0;
+  // Candidate events, shared by every (gap, candidate) scan of this node.
+  // Closure is checked against extensions WITHIN the restricted alphabet
+  // (when one is set), matching the projection semantics of the root
+  // filter: an out-of-alphabet equal-support extension must not declare an
+  // in-alphabet pattern non-closed.
+  candidates_.clear();
+  if (!options_->use_insert_candidate_filter) {
+    for (EventId e : index.present_events()) {
+      if (index.TotalCount(e) >= support && AlphabetAllows(*options_, e)) {
+        candidates_.push_back(e);
+      }
+    }
+  } else {
+    // Enumerate events of the first relevant sequence and verify the
+    // per-sequence-count condition (DESIGN.md §1) against every row, one
+    // merge walk per row.
+    for (EventId e : lists.row_events(0)) {
+      if (AlphabetAllows(*options_, e)) candidates_.push_back(e);
+    }
+    lists.RetainCovering(candidates_);
+  }
+  if (candidates_.empty()) return;
+  lists.AddColumns(candidates_);
+  pattern_events_.assign(node.pattern.begin(), node.pattern.end());
+  std::sort(pattern_events_.begin(), pattern_events_.end());
+  pattern_events_.erase(
+      std::unique(pattern_events_.begin(), pattern_events_.end()),
+      pattern_events_.end());
+  lists.AddColumns(pattern_events_);
+}
+
 // Scans insert/prepend extensions (CCheck cases 2-3 + LBCheck). Sets
 // *non_closed when an equal-support extension exists; returns true when
 // LBCheck says the subtree can be pruned (only when
@@ -129,24 +168,29 @@ EmitDecision ClosurePruning::Decide(const GrowthNode& node,
 // sequences. That argument is a property of the *node*, not of any
 // particular (gap, candidate) pair, which is what makes the restricted
 // sets cacheable: every scan of the node's closure check filters by the
-// same relevant-sequence list (DESIGN.md §5).
+// same relevant-sequence list — the rows of the node's list table
+// (DESIGN.md §5).
 //
 // This is the memoized hot path: per-node tables are built once
-// (BuildNodeTables), restricted prefixes are materialized lazily into a
+// (PrepareNode, with every position list resolved in the engine's
+// NodeListTable), restricted prefixes are materialized lazily into a
 // persistent arena, and all growth runs cursor-based INSgrow through two
 // reused buffers with the per-sequence-count early exit fused into every
 // step (GrowCoveringInto). Steady state allocates nothing.
 bool ClosurePruning::CheckInsertExtensions(const GrowthNode& node,
                                            bool* non_closed) {
-  const InvertedIndex& index = *index_;
+  const NodeListTable& lists = *node.lists;
   MiningStats& stats = node.stats;
   const std::vector<EventId>& pattern = node.pattern;
   const SupportSet& support_set = node.prefix_sets.back();
   const uint64_t support = support_set.size();
   const size_t m = pattern.size();
 
-  BuildNodeTables(node);
   if (candidates_.empty()) return false;
+  candidate_cols_.clear();
+  for (EventId e : candidates_) candidate_cols_.push_back(lists.Column(e));
+  pattern_cols_.clear();
+  for (EventId e : pattern) pattern_cols_.push_back(lists.Column(e));
 
   for (size_t gap = 0; gap < m; ++gap) {
     const SupportSet* base = nullptr;
@@ -156,7 +200,7 @@ bool ClosurePruning::CheckInsertExtensions(const GrowthNode& node,
       // the target support dooms every candidate at this gap.
       if (base->size() < support) continue;
     }
-    for (EventId e : candidates_) {
+    for (size_t c = 0; c < candidates_.size(); ++c) {
       // The (gap, candidate) scan is the engine's longest uninterruptible
       // stretch — poll here so a time budget cannot be overshot by a whole
       // closure check, and so a sibling worker's stop lands mid-node. An
@@ -168,7 +212,8 @@ bool ClosurePruning::CheckInsertExtensions(const GrowthNode& node,
       // (ultimately an append, covered by the DFS children) — skip the
       // duplicate here. Sound because the extension pattern, and hence
       // its leftmost support set, is identical.
-      if (e == pattern[gap]) continue;
+      if (candidates_[c] == pattern[gap]) continue;
+      const uint32_t col = candidate_cols_[c];
       // Base: leftmost support set of e_1..e_gap ◦ e (restricted), with the
       // per-sequence coverage condition enforced as it is built — any
       // relevant sequence that cannot keep its n_i instances dooms the
@@ -177,12 +222,13 @@ bool ClosurePruning::CheckInsertExtensions(const GrowthNode& node,
       bool alive = true;
       if (gap == 0) {
         current->clear();
-        for (const auto& [seq, need] : seq_counts_) {
-          const PositionListView positions = index.Positions(seq, e);
-          if (positions.size() < need) {
+        for (size_t r = 0; r < lists.num_rows(); ++r) {
+          const PositionListView positions = lists.List(r, col);
+          if (positions.size() < lists.row_count(r)) {
             alive = false;  // coverage already broken (filter disabled)
             break;
           }
+          const SeqId seq = lists.row_seq(r);
           for (Position p : positions) {
             current->push_back(Instance{seq, p, p});
           }
@@ -190,7 +236,8 @@ bool ClosurePruning::CheckInsertExtensions(const GrowthNode& node,
       } else {
         stats.insgrow_calls++;
         stats.closure_regrow_events++;
-        alive = GrowCoveringInto(*base, e, *current, &stats.next_queries);
+        alive = GrowCoveringInto(lists, *base, col, *current,
+                                 &stats.next_queries);
       }
       if (!alive) continue;
       // Regrow the remaining events of the pattern (double-buffered); each
@@ -199,7 +246,7 @@ bool ClosurePruning::CheckInsertExtensions(const GrowthNode& node,
       for (size_t k = gap; k < m; ++k) {
         stats.insgrow_calls++;
         stats.closure_regrow_events++;
-        if (!GrowCoveringInto(*current, pattern[k], *next,
+        if (!GrowCoveringInto(lists, *current, pattern_cols_[k], *next,
                               &stats.next_queries)) {
           alive = false;
           break;
@@ -218,56 +265,9 @@ bool ClosurePruning::CheckInsertExtensions(const GrowthNode& node,
   return false;
 }
 
-void ClosurePruning::BuildNodeTables(const GrowthNode& node) {
-  const InvertedIndex& index = *index_;
-  const SupportSet& support_set = node.prefix_sets.back();
-  const uint64_t support = support_set.size();
-  // (sequence, n_i) pairs and the relevant-sequence list in one pass
-  // (support_set is sorted by sequence).
-  seq_counts_.clear();
-  relevant_.clear();
-  for (const Instance& inst : support_set) {
-    if (!seq_counts_.empty() && seq_counts_.back().first == inst.seq) {
-      seq_counts_.back().second++;
-    } else {
-      seq_counts_.emplace_back(inst.seq, 1u);
-      relevant_.push_back(inst.seq);
-    }
-  }
-  restricted_built_ = 0;
-  // Candidate events, shared by every (gap, candidate) scan of this node.
-  // Closure is checked against extensions WITHIN the restricted alphabet
-  // (when one is set), matching the projection semantics of the root
-  // filter: an out-of-alphabet equal-support extension must not declare an
-  // in-alphabet pattern non-closed.
-  candidates_.clear();
-  if (!options_->use_insert_candidate_filter) {
-    for (EventId e : index.present_events()) {
-      if (index.TotalCount(e) >= support && AlphabetAllows(*options_, e)) {
-        candidates_.push_back(e);
-      }
-    }
-    return;
-  }
-  // Enumerate events of the first relevant sequence and verify the
-  // per-sequence-count condition (DESIGN.md §1) against the rest.
-  const auto& [first_seq, first_need] = seq_counts_.front();
-  for (EventId e : index.EventsInSequence(first_seq)) {
-    if (!AlphabetAllows(*options_, e)) continue;
-    if (index.Count(first_seq, e) < first_need) continue;
-    bool ok = true;
-    for (size_t i = 1; i < seq_counts_.size(); ++i) {
-      if (index.Count(seq_counts_[i].first, e) < seq_counts_[i].second) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) candidates_.push_back(e);
-  }
-}
-
 const SupportSet& ClosurePruning::RestrictedPrefix(const GrowthNode& node,
                                                    size_t j) {
+  const std::span<const SeqId> relevant = node.lists->row_seqs();
   if (restricted_.size() <= j) restricted_.resize(j + 1);
   while (restricted_built_ <= j) {
     const size_t b = restricted_built_;
@@ -280,18 +280,18 @@ const SupportSet& ClosurePruning::RestrictedPrefix(const GrowthNode& node,
     // reserve is a no-op.
     size_t kept = 0;
     {
-      auto r = relevant_.begin();
+      auto r = relevant.begin();
       for (const Instance& inst : full) {
-        while (r != relevant_.end() && *r < inst.seq) ++r;
-        if (r == relevant_.end()) break;
+        while (r != relevant.end() && *r < inst.seq) ++r;
+        if (r == relevant.end()) break;
         if (*r == inst.seq) ++kept;
       }
     }
     if (out.capacity() < kept) out.reserve(kept);
-    auto r = relevant_.begin();
+    auto r = relevant.begin();
     for (const Instance& inst : full) {
-      while (r != relevant_.end() && *r < inst.seq) ++r;
-      if (r == relevant_.end()) break;
+      while (r != relevant.end() && *r < inst.seq) ++r;
+      if (r == relevant.end()) break;
       if (*r == inst.seq) out.push_back(inst);
     }
     restricted_built_ = b + 1;
@@ -299,28 +299,29 @@ const SupportSet& ClosurePruning::RestrictedPrefix(const GrowthNode& node,
   return restricted_[j];
 }
 
-bool ClosurePruning::GrowCoveringInto(const SupportSet& in, EventId e,
+bool ClosurePruning::GrowCoveringInto(const NodeListTable& lists,
+                                      const SupportSet& in, uint32_t col,
                                       SupportSet& out,
                                       uint64_t* next_queries) {
-  const InvertedIndex& index = *index_;
   out.clear();
   if (out.capacity() < in.size()) out.reserve(in.size());
   uint64_t queries = 0;
   const size_t n = in.size();
+  const size_t rows = lists.num_rows();
   size_t k = 0;
   // `in` only holds relevant sequences (it descends from a restricted
-  // prefix set), so its runs align with seq_counts_; a mismatch means a
-  // relevant sequence got zero instances.
-  auto need = seq_counts_.begin();
+  // prefix set), so its runs align with the table's rows; a mismatch means
+  // a relevant sequence got zero instances.
+  size_t row = 0;
   bool covered = true;
   while (k < n) {
     const SeqId seq = in[k].seq;
-    if (need == seq_counts_.end() || need->first != seq) {
+    if (row == rows || lists.row_seq(row) != seq) {
       covered = false;
       break;
     }
     uint32_t grown = 0;
-    PositionCursor cursor = index.Cursor(seq, e);
+    PositionCursor cursor = lists.Cursor(row, col);
     if (!cursor.empty()) {
       Position floor = 0;
       for (; k < n && in[k].seq == seq; ++k) {
@@ -334,14 +335,14 @@ bool ClosurePruning::GrowCoveringInto(const SupportSet& in, EventId e,
         ++grown;
       }
     }
-    if (grown < need->second) {
+    if (grown < lists.row_count(row)) {
       covered = false;
       break;
     }
     while (k < n && in[k].seq == seq) ++k;  // skip the run's ungrown tail
-    ++need;
+    ++row;
   }
-  if (covered && need != seq_counts_.end()) covered = false;
+  if (covered && row != rows) covered = false;
   if (next_queries != nullptr) *next_queries += queries;
   return covered;
 }
@@ -458,23 +459,23 @@ std::vector<EventId> ClosurePruning::InsertCandidates(
     return all;
   }
   // Gather (sequence, n_i) pairs; support_set is sorted by sequence.
-  seq_counts_.clear();
+  std::vector<std::pair<SeqId, uint32_t>> seq_counts;
   for (const Instance& inst : support_set) {
-    if (!seq_counts_.empty() && seq_counts_.back().first == inst.seq) {
-      seq_counts_.back().second++;
+    if (!seq_counts.empty() && seq_counts.back().first == inst.seq) {
+      seq_counts.back().second++;
     } else {
-      seq_counts_.emplace_back(inst.seq, 1u);
+      seq_counts.emplace_back(inst.seq, 1u);
     }
   }
   // Enumerate events of the first sequence and verify against the rest.
   std::vector<EventId> out;
-  const auto& [first_seq, first_need] = seq_counts_.front();
+  const auto& [first_seq, first_need] = seq_counts.front();
   for (EventId e : index.EventsInSequence(first_seq)) {
     if (!AlphabetAllows(*options_, e)) continue;
     if (index.Count(first_seq, e) < first_need) continue;
     bool ok = true;
-    for (size_t i = 1; i < seq_counts_.size(); ++i) {
-      if (index.Count(seq_counts_[i].first, e) < seq_counts_[i].second) {
+    for (size_t i = 1; i < seq_counts.size(); ++i) {
+      if (index.Count(seq_counts[i].first, e) < seq_counts[i].second) {
         ok = false;
         break;
       }

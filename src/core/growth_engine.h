@@ -44,6 +44,7 @@
 #include "core/inverted_index.h"
 #include "core/miner_options.h"
 #include "core/mining_result.h"
+#include "core/node_list_table.h"
 #include "core/pattern.h"
 #include "core/reference.h"
 #include "core/sequence_database.h"
@@ -182,6 +183,11 @@ struct GrowthNode {
   /// Cooperative-stop polling handle for long policy loops; may be null
   /// when a policy is driven outside an engine run (micro-benchmarks).
   RunContext* run = nullptr;
+  /// The node's position-list table (rows = the sequences of
+  /// prefix_sets.back()). Its columns hold the events the node grows with:
+  /// the append candidates plus whatever the pruning policy's PrepareNode
+  /// added. Every INSgrow step of the node reads its lists from here.
+  const NodeListTable* lists = nullptr;
 };
 
 /// State and support of the current pattern grown by one event.
@@ -212,8 +218,8 @@ class UnconstrainedExtension {
   GrownChild Root(EventId e) const;
 
   /// Leftmost support set of pattern ◦ e written into `out`'s recycled
-  /// buffer (cursor-based INSgrow; allocation-free once the engine's set
-  /// pool is warm).
+  /// buffer (cursor-based INSgrow over node.lists, which must have `e` as a
+  /// column; allocation-free once the engine's set pool is warm).
   void ExtendInto(const GrowthNode& node, EventId e, GrownChild& out);
 
   /// Allocating thin wrapper over ExtendInto.
@@ -267,6 +273,8 @@ class BoundedGapExtension {
     return child;
   }
 
+  const InvertedIndex& index() const { return *index_; }
+
  private:
   const SequenceDatabase* db_;
   const InvertedIndex* index_;
@@ -295,6 +303,8 @@ class NoPruning {
  public:
   static constexpr bool kNeedsChildren = false;
 
+  void PrepareNode(const GrowthNode&, NodeListTable&) {}
+
   EmitDecision Decide(const GrowthNode&, bool /*equal_support_append*/) {
     return EmitDecision{};
   }
@@ -311,9 +321,10 @@ class NoPruning {
 /// pre-filtered by the sound per-sequence-count condition (DESIGN.md §1).
 ///
 /// The default hot path (use_memoized_closure) is allocation-free in steady
-/// state (DESIGN.md §5): the per-node tables — per-sequence counts,
-/// relevant-sequence list, candidate events — are built once per node and
-/// shared across every (gap, candidate) pair; the sequence-restricted
+/// state (DESIGN.md §5): the per-node tables — the engine's list table
+/// (relevant sequences with their counts n_i, resolved position lists) and
+/// the candidate events PrepareNode filters through it — are built once per
+/// node and shared across every (gap, candidate) pair; the sequence-restricted
 /// prefix sets are built lazily (only for gaps actually reached, never for
 /// the last prefix) into an arena whose buffers persist across nodes; and
 /// the regrow chain runs cursor-based INSgrow through two scratch buffers
@@ -329,6 +340,11 @@ class ClosurePruning {
   ClosurePruning(const InvertedIndex& index, const MinerOptions& options)
       : index_(&index), options_(&options) {}
 
+  /// Runs before the node's append loop, once `lists` has its rows: filters
+  /// the insert/prepend candidates through the table's per-row counts and
+  /// adds them and the pattern events to its columns (memoized path only).
+  void PrepareNode(const GrowthNode& node, NodeListTable& lists);
+
   EmitDecision Decide(const GrowthNode& node, bool equal_support_append);
 
  private:
@@ -343,37 +359,37 @@ class ClosurePruning {
   // Seed-path candidate enumeration (allocates its result per node).
   std::vector<EventId> InsertCandidates(const SupportSet& support_set);
 
-  // Fills seq_counts_, relevant_, and candidates_ for the current node and
-  // invalidates the restricted-prefix cache.
-  void BuildNodeTables(const GrowthNode& node);
-  // prefix_sets[j] filtered to the relevant sequences, built lazily and
-  // cached for the current node in the restricted_ arena.
+  // prefix_sets[j] filtered to the relevant sequences (the table's rows),
+  // built lazily and cached for the current node in the restricted_ arena.
   const SupportSet& RestrictedPrefix(const GrowthNode& node, size_t j);
-  // Cursor-based INSgrow of `in` with `e` into `out`, fused with the
-  // per-sequence-count early exit: returns false — aborting the scan with
-  // `out` left partial — as soon as some relevant sequence cannot keep its
-  // n_i instances (seq_counts_). An equal-support extension must preserve
-  // every per-sequence support and per-sequence counts only shrink under
-  // further growth, so a doomed candidate dies after one sequence run
-  // instead of finishing up to m full regrow scans. When it returns true,
-  // `out` is the complete grown set and covers every n_i.
-  bool GrowCoveringInto(const SupportSet& in, EventId e, SupportSet& out,
-                        uint64_t* next_queries);
+  // Cursor-based INSgrow of `in` with table column `col` into `out`, fused
+  // with the per-sequence-count early exit: returns false — aborting the
+  // scan with `out` left partial — as soon as some relevant sequence cannot
+  // keep its n_i instances (the table's row counts). An equal-support
+  // extension must preserve every per-sequence support and per-sequence
+  // counts only shrink under further growth, so a doomed candidate dies
+  // after one sequence run instead of finishing up to m full regrow scans.
+  // When it returns true, `out` is the complete grown set and covers every
+  // n_i.
+  static bool GrowCoveringInto(const NodeListTable& lists,
+                               const SupportSet& in, uint32_t col,
+                               SupportSet& out, uint64_t* next_queries);
 
   const InvertedIndex* index_;
   const MinerOptions* options_;
-  // --- Per-node memo tables (rebuilt by BuildNodeTables, then shared
+  // --- Per-node memo tables (rebuilt by PrepareNode / Decide, then shared
   // across all gaps and candidates of the node's closure check). Buffers
   // persist across nodes, so steady-state checks allocate nothing. ---
-  // (sequence, n_i) pairs: per-sequence supports of the current pattern.
-  std::vector<std::pair<SeqId, uint32_t>> seq_counts_;
-  // Sequences with n_i > 0, ascending.
-  std::vector<SeqId> relevant_;
   // Insert/prepend candidate events surviving the per-sequence-count
-  // filter.
+  // filter, ascending, and their table columns.
   std::vector<EventId> candidates_;
-  // restricted_[j] caches prefix_sets[j] filtered to relevant_, valid for
-  // j < restricted_built_.
+  std::vector<uint32_t> candidate_cols_;
+  // The pattern's events, sorted and deduplicated (column scratch), and the
+  // table column of each pattern position.
+  std::vector<EventId> pattern_events_;
+  std::vector<uint32_t> pattern_cols_;
+  // restricted_[j] caches prefix_sets[j] filtered to the table's rows,
+  // valid for j < restricted_built_.
   std::vector<SupportSet> restricted_;
   size_t restricted_built_ = 0;
   // Double buffers for the base-growth + regrow chain.
@@ -580,7 +596,8 @@ class GrowthEngine {
     }
 
     const uint64_t support = supports_.back();
-    const GrowthNode node{pattern_, prefix_sets_, supports_, stats, &run_};
+    const GrowthNode node{pattern_, prefix_sets_, supports_, stats, &run_,
+                          &lists_};
 
     // Append extensions. Children that stay frequent (and above the sink's
     // floor) are recursed into. With use_candidate_list, children inherit
@@ -605,6 +622,13 @@ class GrowthEngine {
     const bool want_children = PruningPolicy::kNeedsChildren ||
                                pattern_.size() < options_.max_pattern_length;
     if (want_children) {
+      // Resolve every position list the node will query — append
+      // candidates here, closure candidates and pattern events in
+      // PrepareNode — in one pass over its relevant sequences.
+      lists_.Reset(extension_.index(), prefix_sets_.back());
+      lists_.AddColumns(candidates);
+      pruning_.PrepareNode(node, lists_);
+      lists_.Build();
       const uint64_t floor = EffectiveMinSupport();
       GrownChild child;
       for (EventId e : candidates) {
@@ -718,6 +742,9 @@ class GrowthEngine {
   // prefix_sets_[k] / supports_[k]: state and support of pattern_[0..k].
   std::vector<SupportSet> prefix_sets_;
   std::vector<uint64_t> supports_;
+  // The current node's position-list table; rebuilt per node, reused
+  // buffers (a worker's engine owns its own).
+  NodeListTable lists_;
   // Scratch pools (see DepthScratch / AcquireSet).
   std::deque<DepthScratch> depth_scratch_;
   std::vector<SupportSet> set_pool_;

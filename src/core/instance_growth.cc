@@ -25,9 +25,13 @@ SupportSet GrowSupportSet(const InvertedIndex& index,
   return out;
 }
 
-void GrowSupportSetInto(const InvertedIndex& index,
-                        const SupportSet& support_set, EventId e,
-                        SupportSet& out, uint64_t* next_queries) {
+namespace {
+
+// INSgrow over the per-sequence runs of `support_set`; `cursor_for(run,
+// seq)` supplies the position cursor of the event for the run-th run.
+template <typename CursorFor>
+void GrowRunsInto(const SupportSet& support_set, SupportSet& out,
+                  uint64_t* next_queries, CursorFor&& cursor_for) {
   GSGROW_DCHECK(IsRightShiftSorted(support_set));
   GSGROW_DCHECK(&out != &support_set);
   out.clear();
@@ -35,12 +39,12 @@ void GrowSupportSetInto(const InvertedIndex& index,
   if (out.capacity() < n) out.reserve(n);
   uint64_t queries = 0;
   size_t k = 0;
-  while (k < n) {
+  for (size_t run = 0; k < n; ++run) {
     const SeqId seq = support_set[k].seq;
-    // One slot resolution for the whole run of this sequence's instances;
+    // One list resolution for the whole run of this sequence's instances;
     // within the run the query bounds are non-decreasing (rising floor,
     // rising last landmarks), which is exactly the cursor's contract.
-    PositionCursor cursor = index.Cursor(seq, e);
+    PositionCursor cursor = cursor_for(run, seq);
     if (cursor.empty()) {
       while (k < n && support_set[k].seq == seq) ++k;
       continue;
@@ -64,6 +68,25 @@ void GrowSupportSetInto(const InvertedIndex& index,
     }
   }
   if (next_queries != nullptr) *next_queries += queries;
+}
+
+}  // namespace
+
+void GrowSupportSetInto(const InvertedIndex& index,
+                        const SupportSet& support_set, EventId e,
+                        SupportSet& out, uint64_t* next_queries) {
+  GrowRunsInto(support_set, out, next_queries,
+               [&](size_t /*run*/, SeqId seq) { return index.Cursor(seq, e); });
+}
+
+void GrowSupportSetInto(const NodeListTable& lists,
+                        const SupportSet& support_set, uint32_t col,
+                        SupportSet& out, uint64_t* next_queries) {
+  GrowRunsInto(support_set, out, next_queries, [&](size_t run, SeqId seq) {
+    GSGROW_DCHECK(run < lists.num_rows() && lists.row_seq(run) == seq);
+    (void)seq;
+    return lists.Cursor(run, col);
+  });
 }
 
 SupportSet GrowSupportSetReference(const InvertedIndex& index,

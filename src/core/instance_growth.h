@@ -7,16 +7,19 @@
 // (next(S, e, max(last_position, l_{j-1}))). Greedy-leftmost extension is
 // provably maximum (Lemma 4), so |result| == sup(P ◦ e).
 //
-// The hot-path entry point is GrowSupportSetInto: it writes into a
-// caller-owned buffer (the DFS and the closure check double-buffer a small
-// arena, so steady-state growth performs zero allocations) and answers each
-// per-sequence run of next() queries through one PositionCursor (the event
-// slot is resolved once per run and advanced by galloping search instead of
-// a fresh binary search per instance; DESIGN.md §5). The allocating
-// GrowSupportSet is a thin wrapper. GrowSupportSetReference preserves the
-// pre-cursor implementation — a full NextAtOrAfter binary search per query
-// into a freshly allocated set — as the differential-test baseline and the
-// seed arm of bench/ablation_pruning and bm_micro.
+// GrowSupportSetInto writes into a caller-owned buffer (the DFS and the
+// closure check double-buffer a small arena, so steady-state growth
+// performs zero allocations) and answers each per-sequence run of next()
+// queries through one PositionCursor (advanced by galloping search instead
+// of a fresh binary search per instance; DESIGN.md §5). Its two overloads
+// differ only in where a run's position list comes from: the InvertedIndex
+// overload looks it up per run, for one-off growth (supComp, tests); the
+// NodeListTable overload — the DFS hot path — reads the slot the table
+// resolved once for the whole node. The allocating GrowSupportSet is a thin
+// wrapper. GrowSupportSetReference preserves the pre-cursor implementation —
+// a full NextAtOrAfter binary search per query into a freshly allocated set
+// — as the differential-test baseline and the seed arm of
+// bench/ablation_pruning and bm_micro.
 
 #ifndef GSGROW_CORE_INSTANCE_GROWTH_H_
 #define GSGROW_CORE_INSTANCE_GROWTH_H_
@@ -26,6 +29,7 @@
 
 #include "core/instance.h"
 #include "core/inverted_index.h"
+#include "core/node_list_table.h"
 #include "core/pattern.h"
 #include "core/types.h"
 
@@ -47,6 +51,14 @@ SupportSet GrowSupportSet(const InvertedIndex& index,
 /// once per next() query issued against the index.
 void GrowSupportSetInto(const InvertedIndex& index,
                         const SupportSet& support_set, EventId e,
+                        SupportSet& out, uint64_t* next_queries = nullptr);
+
+/// INSgrow against a per-node list table: the same growth as above with
+/// `e` given as its table column. The per-sequence runs of `support_set`
+/// must be exactly the table's rows, in order — true for the support set
+/// the table was Reset from.
+void GrowSupportSetInto(const NodeListTable& lists,
+                        const SupportSet& support_set, uint32_t col,
                         SupportSet& out, uint64_t* next_queries = nullptr);
 
 /// The pre-cursor INSgrow: one full binary search (event slot + position)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 
 #include "core/semantics_sink.h"
 #include "io/pattern_io.h"
@@ -22,6 +23,15 @@ Status BadArg(std::string_view verb, const std::string& token,
               std::string_view expected) {
   return Status::InvalidArgument(std::string(verb) + ": bad argument '" +
                                  token + "' (" + std::string(expected) + ")");
+}
+
+// threads=N value: a uint64 no larger than kMaxRequestThreads.
+bool ParseThreads(const std::string& value, uint64_t* n) {
+  return ParseUint64(value, n) && *n <= kMaxRequestThreads;
+}
+
+std::string ThreadsExpected() {
+  return "threads=N, N <= " + std::to_string(kMaxRequestThreads);
 }
 
 // Parses the key=value arguments shared by mine and topk into
@@ -67,7 +77,9 @@ Status ParseQueryArgs(std::string_view verb,
       }
       request.options.time_budget_seconds = d;
     } else if (key == "threads") {
-      if (!ParseUint64(value, &n)) return BadArg(verb, tokens[i], "threads=N");
+      if (!ParseThreads(value, &n)) {
+        return BadArg(verb, tokens[i], ThreadsExpected());
+      }
       request.options.num_threads = static_cast<size_t>(n);
     } else if (key == "semantics") {
       Result<SemanticsOptions> parsed = ParseSemanticsSpec(value);
@@ -139,6 +151,14 @@ Result<ServeCommand> ParseServeCommand(std::string_view line) {
         "min_gap,max_gap,limit,",
         &command);
     if (!st.ok()) return st;
+    const LandmarkGapConstraint& gap = command.request.gap;
+    if (gap.min_gap > gap.max_gap) {
+      // No landmark gap can satisfy both bounds; mining would silently
+      // return only single events.
+      return Status::InvalidArgument(
+          "mine: min_gap=" + std::to_string(gap.min_gap) +
+          " exceeds max_gap=" + std::to_string(gap.max_gap));
+    }
     return command;
   }
   if (verb == "topk") {
@@ -159,10 +179,10 @@ Result<ServeCommand> ParseServeCommand(std::string_view line) {
     for (size_t i = 1; i < tokens.size(); ++i) {
       const std::vector<std::string> kv = Split(tokens[i], "=");
       uint64_t n = 0;
-      if (kv.size() == 2 && kv[0] == "threads" && ParseUint64(kv[1], &n)) {
+      if (kv.size() == 2 && kv[0] == "threads" && ParseThreads(kv[1], &n)) {
         command.run_threads = static_cast<size_t>(n);
       } else {
-        return BadArg("run", tokens[i], "threads=N");
+        return BadArg("run", tokens[i], ThreadsExpected());
       }
     }
     return command;

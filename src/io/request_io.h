@@ -39,6 +39,7 @@
 #define GSGROW_IO_REQUEST_IO_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -48,6 +49,13 @@
 #include "util/status.h"
 
 namespace gsgrow {
+
+/// Ceiling on a request's worker count (mine/topk threads=N, run
+/// threads=N). Each worker is an OS thread, so an unchecked value lets one
+/// protocol line ask for any number of threads; larger values are rejected
+/// at parse time, before any executor starts. threads=0 (one per hardware
+/// thread) stays accepted.
+inline constexpr uint64_t kMaxRequestThreads = 256;
 
 /// One parsed protocol line.
 struct ServeCommand {

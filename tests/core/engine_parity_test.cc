@@ -15,6 +15,7 @@
 #include "core/gsgrow.h"
 #include "core/instance_growth.h"
 #include "core/topk.h"
+#include "datagen/models.h"
 #include "datagen/quest_generator.h"
 #include "test_util.h"
 
@@ -22,6 +23,8 @@ namespace gsgrow {
 namespace {
 
 using testing::AsSet;
+using testing::SnapshotWithEmptySequences;
+using testing::TwoThirdsAlphabet;
 
 // Small randomized corpora with heavy event reuse so patterns actually
 // repeat (both across sequences and within one sequence).
@@ -34,6 +37,58 @@ SequenceDatabase QuestDatabase(uint64_t seed) {
   params.num_potential_patterns = 10;
   params.seed = seed;
   return GenerateQuest(params);
+}
+
+// The append-extension oracle: grows every child with the allocating
+// binary-search INSgrow (GrowSupportSetReference), one index lookup per
+// query, never reading the engine's per-node list table.
+class ReferenceExtension {
+ public:
+  static constexpr bool kSupportsCandidateList = true;
+
+  explicit ReferenceExtension(const InvertedIndex& index) : index_(&index) {}
+
+  std::vector<EventId> FrequentRoots(uint64_t min_support) const {
+    std::vector<EventId> roots;
+    for (EventId e : index_->present_events()) {
+      if (index_->TotalCount(e) >= min_support) roots.push_back(e);
+    }
+    return roots;
+  }
+
+  GrownChild Root(EventId e) const {
+    GrownChild child;
+    child.set = RootInstances(*index_, e);
+    child.support = child.set.size();
+    return child;
+  }
+
+  void ExtendInto(const GrowthNode& node, EventId e, GrownChild& out) {
+    out.set = GrowSupportSetReference(*index_, node.prefix_sets.back(), e);
+    node.stats.insgrow_calls++;
+    out.support = out.set.size();
+  }
+
+  const InvertedIndex& index() const { return *index_; }
+
+ private:
+  const InvertedIndex* index_;
+};
+
+// Closed mining through both oracles: the seed closure path
+// (use_memoized_closure = false) over ReferenceExtension.
+MiningResult MineClosedReference(const InvertedIndex& index,
+                                 MinerOptions options) {
+  options.use_memoized_closure = false;
+  ReferenceExtension extension(index);
+  ClosurePruning closure(index, options);
+  return GrowthEngine(extension, closure, CollectSink(), options).Run();
+}
+
+// tcas-like loop traces (the shape of the benchmark's mine-traces
+// workload): runs of 1-2 instances per sequence and long regrow chains.
+SequenceDatabase TcasDatabase(uint32_t traces, uint64_t seed) {
+  return GenerateTcasTraces(traces, seed);
 }
 
 // Runs the engine in the GSgrow configuration directly (no facade).
@@ -172,10 +227,31 @@ TEST(EngineParity, TopKSinkEqualsSortedClosedPrefix) {
   }
 }
 
+// Decision-level agreement of the production path with both oracles:
+// byte-identical output in the engine's emission order, and the same DFS
+// shape and accounting. (The oracles issue their next() queries
+// differently, so the work counters are pinned separately below.)
+void ExpectSameDecisions(const MiningResult& memo, const MiningResult& ref,
+                         const std::string& label) {
+  EXPECT_EQ(memo.patterns, ref.patterns) << label;
+  EXPECT_EQ(memo.stats.nodes_visited, ref.stats.nodes_visited) << label;
+  EXPECT_EQ(memo.stats.lb_pruned_subtrees, ref.stats.lb_pruned_subtrees)
+      << label;
+  EXPECT_EQ(memo.stats.nonclosed_suppressed, ref.stats.nonclosed_suppressed)
+      << label;
+  EXPECT_EQ(memo.stats.closure_checks, ref.stats.closure_checks) << label;
+  EXPECT_EQ(memo.stats.patterns_found, ref.stats.patterns_found) << label;
+  EXPECT_EQ(memo.stats.max_depth, ref.stats.max_depth) << label;
+  EXPECT_FALSE(memo.stats.truncated) << label;
+}
+
 // The memoized closure-check hot path (lazy restricted prefixes, fused
-// per-sequence-count early exits, cursor-based regrowth) must be decision-
-// identical to the seed regrow path: byte-identical closed output in the
-// engine's emission order, and the exact same DFS shape and accounting.
+// per-sequence-count early exits, cursor-based regrowth over the per-node
+// list table) must be decision-identical to the seed regrow path: byte-
+// identical closed output in the engine's emission order, and the exact
+// same DFS shape and accounting. The reference arm also swaps the append
+// loop for GrowSupportSetReference, so neither half of it reads the list
+// table.
 TEST(EngineParity, MemoizedClosureMatchesSeedPath) {
   for (uint64_t seed : {61u, 62u, 63u, 64u, 65u, 66u, 67u, 68u}) {
     SequenceDatabase db = QuestDatabase(seed);
@@ -188,29 +264,165 @@ TEST(EngineParity, MemoizedClosureMatchesSeedPath) {
         memoized.use_landmark_border_pruning = lb_pruning;
         memoized.use_insert_candidate_filter = insert_filter;
         memoized.use_memoized_closure = true;
-        MinerOptions reference = memoized;
-        reference.use_memoized_closure = false;
-
-        MiningResult memo = MineClosedFrequent(index, memoized);
-        MiningResult ref = MineClosedFrequent(index, reference);
         const std::string label =
             "seed=" + std::to_string(seed) +
             " lb=" + std::to_string(lb_pruning) +
             " filter=" + std::to_string(insert_filter);
-        // Byte-identical output: same records in the same emission order.
-        EXPECT_EQ(memo.patterns, ref.patterns) << label;
-        // Identical DFS shape and accounting, not just identical output.
-        EXPECT_EQ(memo.stats.nodes_visited, ref.stats.nodes_visited) << label;
-        EXPECT_EQ(memo.stats.lb_pruned_subtrees, ref.stats.lb_pruned_subtrees)
-            << label;
-        EXPECT_EQ(memo.stats.nonclosed_suppressed,
-                  ref.stats.nonclosed_suppressed)
-            << label;
-        EXPECT_EQ(memo.stats.closure_checks, ref.stats.closure_checks)
-            << label;
-        EXPECT_EQ(memo.stats.patterns_found, ref.stats.patterns_found)
-            << label;
+        ExpectSameDecisions(MineClosedFrequent(index, memoized),
+                            MineClosedReference(index, memoized), label);
       }
+    }
+  }
+}
+
+// The same agreement on the inputs the list table is most exposed to:
+// tcas-like loop traces, a serve snapshot whose empty sequences have null
+// blocks, and an event-alphabet restriction (which shrinks the append and
+// insert columns independently).
+TEST(EngineParity, MemoizedClosureMatchesSeedPathOnListTableShapes) {
+  for (uint64_t seed : {3u, 4u}) {
+    SequenceDatabase db = TcasDatabase(20, seed);
+    InvertedIndex batch(db);
+    InvertedIndex snapshot = SnapshotWithEmptySequences(db, 3);
+    MinerOptions options;
+    options.min_support = 10;
+    const std::string label = "tcas seed=" + std::to_string(seed);
+    const MiningResult memo = MineClosedFrequent(batch, options);
+    ASSERT_GT(memo.stats.closure_regrow_events, 0u) << label;
+    ExpectSameDecisions(memo, MineClosedReference(batch, options), label);
+    // The snapshot mines the same corpus: identical output and counters.
+    const MiningResult from_snapshot = MineClosedFrequent(snapshot, options);
+    ExpectSameDecisions(from_snapshot, MineClosedReference(snapshot, options),
+                        label + " snapshot");
+    EXPECT_EQ(from_snapshot.patterns, memo.patterns) << label;
+    EXPECT_EQ(from_snapshot.stats.next_queries, memo.stats.next_queries)
+        << label;
+
+    MinerOptions restricted = options;
+    restricted.restrict_alphabet = TwoThirdsAlphabet(batch);
+    ExpectSameDecisions(MineClosedFrequent(batch, restricted),
+                        MineClosedReference(batch, restricted),
+                        label + " restricted");
+  }
+  for (uint64_t seed : {69u, 70u}) {
+    SequenceDatabase db = QuestDatabase(seed);
+    InvertedIndex snapshot = SnapshotWithEmptySequences(db, 2);
+    MinerOptions options;
+    options.min_support = 5;
+    options.max_pattern_length = 6;
+    options.restrict_alphabet = TwoThirdsAlphabet(snapshot);
+    ExpectSameDecisions(MineClosedFrequent(snapshot, options),
+                        MineClosedReference(snapshot, options),
+                        "quest snapshot seed=" + std::to_string(seed));
+  }
+}
+
+// The per-node list table changes where a position list comes from, not
+// which next() queries are issued: on every miner configuration the work
+// counters equal the values the per-step-lookup engine produced on the same
+// inputs (pinned below, recorded from it). Fields: patterns_found,
+// nodes_visited, insgrow_calls, next_queries, closure_checks,
+// closure_regrow_events, lb_pruned_subtrees, nonclosed_suppressed,
+// max_depth.
+struct PinnedStats {
+  const char* config;
+  uint64_t values[9];
+};
+
+MiningResult RunPinnedConfig(const std::string& config) {
+  MinerOptions options;
+  if (config == "tcas20s3 closed") {
+    options.min_support = 10;
+    return MineClosedFrequent(InvertedIndex(TcasDatabase(20, 3)), options);
+  }
+  if (config == "tcas30s4 closed") {
+    options.min_support = 11;
+    return MineClosedFrequent(InvertedIndex(TcasDatabase(30, 4)), options);
+  }
+  if (config == "tcas30s3 closed events") {
+    InvertedIndex index(TcasDatabase(30, 3));
+    options.min_support = 15;
+    options.restrict_alphabet = TwoThirdsAlphabet(index);
+    return MineClosedFrequent(index, options);
+  }
+  if (config == "tcas20s4 closed snapshot") {
+    options.min_support = 7;
+    return MineClosedFrequent(
+        SnapshotWithEmptySequences(TcasDatabase(20, 4), 3), options);
+  }
+  if (config == "tcas20s3 topk") {
+    InvertedIndex index(TcasDatabase(20, 3));
+    options.min_support = 4;
+    options.max_pattern_length = 6;
+    UnconstrainedExtension extension(index);
+    ClosurePruning closure(index, options);
+    return GrowthEngine(extension, closure, TopKSink(10, 2), options).Run();
+  }
+  if (config == "tcas20s4 gap") {
+    options.min_support = 8;
+    options.max_pattern_length = 5;
+    LandmarkGapConstraint gap;
+    gap.max_gap = 3;
+    return MineAllFrequentGapConstrained(TcasDatabase(20, 4), options, gap);
+  }
+  if (config == "tcas20s4 all") {
+    options.min_support = 10;
+    options.max_pattern_length = 5;
+    return MineAllFrequent(InvertedIndex(TcasDatabase(20, 4)), options);
+  }
+  if (config == "quest62 closed nolb") {
+    options.min_support = 5;
+    options.max_pattern_length = 6;
+    options.use_landmark_border_pruning = false;
+    return MineClosedFrequent(InvertedIndex(QuestDatabase(62)), options);
+  }
+  if (config == "quest63 closed nofilter") {
+    options.min_support = 4;
+    options.max_pattern_length = 6;
+    options.use_insert_candidate_filter = false;
+    return MineClosedFrequent(InvertedIndex(QuestDatabase(63)), options);
+  }
+  ADD_FAILURE() << "unknown config " << config;
+  return {};
+}
+
+TEST(EngineParity, WorkCountersMatchPinnedValues) {
+  const PinnedStats kPinned[] = {
+      {"tcas20s3 closed",
+       {136, 1436, 304228, 4456792, 1436, 292492, 1093, 207, 19}},
+      {"tcas30s4 closed", {80, 783, 104834, 1183789, 783, 97983, 585, 118, 16}},
+      {"tcas30s3 closed events",
+       {70, 435, 29447, 560218, 435, 26468, 296, 69, 12}},
+      {"tcas20s4 closed snapshot",
+       {153, 1721, 369465, 3519163, 1721, 353082, 1323, 245, 21}},
+      {"tcas20s3 topk", {8, 388, 26476, 284675, 388, 17780, 360, 20, 6}},
+      {"tcas20s4 gap", {2098, 2098, 20370, 253463, 0, 0, 0, 0, 5}},
+      {"tcas20s4 all", {17168, 17168, 49203, 654476, 0, 0, 0, 0, 5}},
+      {"quest62 closed nolb",
+       {1334, 1628, 38254, 256962, 1581, 32120, 0, 294, 6}},
+      {"quest63 closed nofilter",
+       {599, 866, 24196, 118882, 866, 20670, 222, 45, 6}},
+  };
+  for (const PinnedStats& pinned : kPinned) {
+    const MiningResult result = RunPinnedConfig(pinned.config);
+    const MiningStats& s = result.stats;
+    const uint64_t got[9] = {s.patterns_found,
+                             s.nodes_visited,
+                             s.insgrow_calls,
+                             s.next_queries,
+                             s.closure_checks,
+                             s.closure_regrow_events,
+                             s.lb_pruned_subtrees,
+                             s.nonclosed_suppressed,
+                             s.max_depth};
+    std::string row = std::string("{\"") + pinned.config + "\", {";
+    for (size_t i = 0; i < 9; ++i) {
+      row += (i > 0 ? ", " : "") + std::to_string(got[i]);
+    }
+    row += "}},";
+    for (size_t i = 0; i < 9; ++i) {
+      EXPECT_EQ(got[i], pinned.values[i])
+          << pinned.config << " field " << i << "; actual row: " << row;
     }
   }
 }

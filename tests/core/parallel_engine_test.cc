@@ -1,6 +1,6 @@
 // Thread-parity suite for the root-sharded parallel engine (DESIGN.md §6):
 // untruncated mining output — patterns AND summed stats — must be
-// byte-identical for 1, 2, and 8 workers across all four miner
+// byte-identical for 1, 2, 4, and 8 workers across all four miner
 // configurations, truncation must propagate cooperatively with a
 // first-writer-wins reason, and top-K ties at the k-th support must resolve
 // canonically regardless of worker count.
@@ -16,6 +16,7 @@
 #include "core/gap_constrained.h"
 #include "core/gsgrow.h"
 #include "core/topk.h"
+#include "datagen/models.h"
 #include "datagen/quest_generator.h"
 #include "test_util.h"
 
@@ -63,7 +64,7 @@ TEST(ParallelEngine, GSgrowParityAcrossThreadCounts) {
     options.max_pattern_length = 5;
     MiningResult baseline = MineAllFrequent(index, options);
     ASSERT_FALSE(baseline.stats.truncated);
-    for (size_t threads : {2u, 8u}) {
+    for (size_t threads : {2u, 4u, 8u}) {
       options.num_threads = threads;
       ExpectIdenticalResults(baseline, MineAllFrequent(index, options),
                              "seed=" + std::to_string(seed) +
@@ -83,7 +84,7 @@ TEST(ParallelEngine, CloGSgrowParityAcrossThreadCounts) {
       options.use_memoized_closure = memoized;
       MiningResult baseline = MineClosedFrequent(index, options);
       ASSERT_FALSE(baseline.stats.truncated);
-      for (size_t threads : {2u, 8u}) {
+      for (size_t threads : {2u, 4u, 8u}) {
         options.num_threads = threads;
         ExpectIdenticalResults(baseline, MineClosedFrequent(index, options),
                                "seed=" + std::to_string(seed) + " memoized=" +
@@ -105,13 +106,62 @@ TEST(ParallelEngine, GapConstrainedParityAcrossThreadCounts) {
     options.max_pattern_length = 4;
     MiningResult baseline = MineAllFrequentGapConstrained(db, options, gap);
     ASSERT_FALSE(baseline.stats.truncated);
-    for (size_t threads : {2u, 8u}) {
+    for (size_t threads : {2u, 4u, 8u}) {
       options.num_threads = threads;
       ExpectIdenticalResults(
           baseline, MineAllFrequentGapConstrained(db, options, gap),
           "seed=" + std::to_string(seed) +
               " threads=" + std::to_string(threads));
     }
+  }
+}
+
+// Every worker owns its own per-node list table; sharing one would race
+// and mix rows of different nodes. Sweep the inputs that stress the table
+// — tcas-like loop traces, a snapshot with empty sequences (null blocks),
+// an event-alphabet restriction, top-K, and gap constraints — at 1, 2 and
+// 4 workers.
+TEST(ParallelEngine, ListTableShapesParityAcrossThreadCounts) {
+  const SequenceDatabase tcas = GenerateTcasTraces(20, 3);
+  const InvertedIndex batch(tcas);
+  const InvertedIndex snapshot = testing::SnapshotWithEmptySequences(tcas, 3);
+  MinerOptions options;
+  options.min_support = 10;
+  const MiningResult closed = MineClosedFrequent(batch, options);
+  MinerOptions restricted = options;
+  restricted.restrict_alphabet = testing::TwoThirdsAlphabet(batch);
+  const MiningResult closed_restricted = MineClosedFrequent(batch, restricted);
+  LandmarkGapConstraint gap;
+  gap.max_gap = 3;
+  MinerOptions gapped;
+  gapped.min_support = 8;
+  gapped.max_pattern_length = 4;
+  const MiningResult gap_all = MineAllFrequentGapConstrained(tcas, gapped, gap);
+  TopKOptions topk;
+  topk.k = 8;
+  topk.min_length = 2;
+  topk.max_pattern_length = 6;
+  const std::vector<PatternRecord> top = MineTopKClosed(tcas, topk);
+  ASSERT_FALSE(closed.stats.truncated);
+  ASSERT_FALSE(top.empty());
+  for (size_t threads : {1u, 2u, 4u}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    options.num_threads = threads;
+    restricted.num_threads = threads;
+    gapped.num_threads = threads;
+    topk.num_threads = threads;
+    ExpectIdenticalResults(closed, MineClosedFrequent(snapshot, options),
+                           "tcas closed snapshot " + label);
+    if (threads == 1) continue;  // the baselines are the 1-worker runs
+    ExpectIdenticalResults(closed, MineClosedFrequent(batch, options),
+                           "tcas closed " + label);
+    ExpectIdenticalResults(closed_restricted,
+                           MineClosedFrequent(batch, restricted),
+                           "tcas closed restricted " + label);
+    ExpectIdenticalResults(gap_all,
+                           MineAllFrequentGapConstrained(tcas, gapped, gap),
+                           "tcas gap " + label);
+    EXPECT_EQ(top, MineTopKClosed(tcas, topk)) << "tcas topk " << label;
   }
 }
 
@@ -123,7 +173,7 @@ TEST(ParallelEngine, TopKParityAcrossThreadCounts) {
     options.min_length = 2;
     options.max_pattern_length = 5;
     std::vector<PatternRecord> baseline = MineTopKClosed(db, options);
-    for (size_t threads : {2u, 8u}) {
+    for (size_t threads : {2u, 4u, 8u}) {
       options.num_threads = threads;
       EXPECT_EQ(baseline, MineTopKClosed(db, options))
           << "seed=" << seed << " threads=" << threads;

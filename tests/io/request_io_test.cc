@@ -89,6 +89,49 @@ TEST(RequestIo, RejectsUnknownKeysAndVerbs) {
   EXPECT_TRUE(ParseServeCommand("run threads=3").ok());
 }
 
+// A worker is an OS thread: an unbounded threads=N let one line ask for
+// 200000 of them and abort the server. The ceiling is enforced while
+// parsing, so a rejected line never reaches an executor.
+TEST(RequestIo, RejectsThreadCountsAboveTheCeiling) {
+  for (const char* line :
+       {"mine threads=200000", "topk threads=200000", "run threads=200000",
+        "mine threads=18446744073709551615"}) {
+    Result<ServeCommand> parsed = ParseServeCommand(line);
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_NE(parsed.status().message().find("threads=N, N <= 256"),
+              std::string::npos)
+        << parsed.status().message();
+  }
+  const std::string at_ceiling =
+      "threads=" + std::to_string(kMaxRequestThreads);
+  EXPECT_EQ(MustParse("mine " + at_ceiling).request.options.num_threads,
+            kMaxRequestThreads);
+  EXPECT_EQ(MustParse("run " + at_ceiling).run_threads, kMaxRequestThreads);
+  EXPECT_FALSE(ParseServeCommand(
+                   "run threads=" + std::to_string(kMaxRequestThreads + 1))
+                   .ok());
+  // threads=0 (one worker per hardware thread) is not affected.
+  EXPECT_EQ(MustParse("mine threads=0").request.options.num_threads, 0u);
+}
+
+// min_gap > max_gap admits no landmark gap at all; the miner used to accept
+// it and return only single events.
+TEST(RequestIo, RejectsInvertedGapBounds) {
+  Result<ServeCommand> parsed =
+      ParseServeCommand("mine algo=gap min_gap=5 max_gap=1");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(parsed.status().message(), "mine: min_gap=5 exceeds max_gap=1");
+  // Key order does not matter; equal bounds are a valid exact gap.
+  EXPECT_FALSE(ParseServeCommand("mine max_gap=0 algo=gap min_gap=1").ok());
+  ServeCommand exact = MustParse("mine algo=gap min_gap=2 max_gap=2");
+  EXPECT_EQ(exact.request.gap.min_gap, 2u);
+  EXPECT_EQ(exact.request.gap.max_gap, 2u);
+  // A lone min_gap keeps the unbounded default max_gap.
+  EXPECT_TRUE(ParseServeCommand("mine algo=gap min_gap=5").ok());
+}
+
 TEST(RequestIo, FormatsResponses) {
   SequenceDatabase db = MakeDatabaseFromStrings({"ABC"});
   MineResponse response;

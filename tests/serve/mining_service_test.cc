@@ -149,6 +149,16 @@ TEST(MiningService, InvalidRequestsReportStatus) {
   bad_k.k = 0;
   EXPECT_FALSE(service.Execute(bad_k).status.ok());
 
+  // No landmark gap satisfies min_gap > max_gap; a programmatic request
+  // that bypasses the protocol parser is refused the same way.
+  MineRequest bad_gap;
+  bad_gap.miner = MineRequest::Miner::kGapConstrained;
+  bad_gap.gap.min_gap = 5;
+  bad_gap.gap.max_gap = 1;
+  const MineResponse gap_response = service.Execute(bad_gap);
+  EXPECT_EQ(gap_response.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(gap_response.patterns.empty());
+
   EXPECT_FALSE(service.AppendTo(99, {"A"}).ok());
 }
 

@@ -250,6 +250,49 @@ TEST(ServeSession, RejectedRequestsAreCountedByKind) {
             series_value(before, not_found) + 1);
 }
 
+// threads=200000 used to reach MineSharded, which spawned one std::thread
+// per requested worker and aborted the process. The line is now rejected
+// while parsing — no executor runs, so the test starts no threads — and is
+// counted as a bad argument; the session carries on.
+TEST(ServeSession, OversizedThreadCountIsRejectedBeforeExecution) {
+  const auto series_value = [](const std::string& exposition,
+                               const std::string& series) -> uint64_t {
+    const size_t at = exposition.find(series + " ");
+    if (at == std::string::npos) return 0;
+    return std::stoull(exposition.substr(at + series.size() + 1));
+  };
+  const std::string bad_arg =
+      "gsgrow_requests_rejected_total{kind=\"bad_argument\"}";
+  const uint64_t before = series_value(
+      obs::MetricRegistry::Global().ExpositionText(), bad_arg);
+  const SessionResult result = RunScript(
+      "append A B A\n"
+      "mine threads=200000\n"
+      "topk threads=200000\n"
+      "batch\n"
+      "mine min_sup=1\n"
+      "run threads=200000\n"
+      "mine algo=gap min_gap=5 max_gap=1\n"
+      "quit\n");
+  EXPECT_EQ(result.errors, 4);
+  EXPECT_NE(result.output.find("error InvalidArgument: mine: bad argument "
+                               "'threads=200000' (threads=N, N <= 256)\n"),
+            std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("error InvalidArgument: run: bad argument "
+                               "'threads=200000'"),
+            std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find(
+                "error InvalidArgument: mine: min_gap=5 exceeds max_gap=1\n"),
+            std::string::npos)
+      << result.output;
+  EXPECT_EQ(series_value(obs::MetricRegistry::Global().ExpositionText(),
+                         bad_arg),
+            before + 4);
+  EXPECT_NE(result.output.find("bye\n"), std::string::npos);
+}
+
 TEST(ServeSession, DurabilityVerbsOnDurableService) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "gsgrow_session_durable")

@@ -5,6 +5,7 @@
 
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,9 +13,11 @@
 #include "gtest/gtest.h"
 
 #include "core/instance_growth.h"
+#include "core/inverted_index.h"
 #include "core/mining_result.h"
 #include "core/pattern.h"
 #include "core/sequence_database.h"
+#include "serve/incremental_index.h"
 #include "util/rng.h"
 
 namespace gsgrow::testing {
@@ -80,6 +83,31 @@ inline SequenceDatabase RandomDatabase(Rng* rng, size_t num_seqs,
   for (size_t a = 0; a < alphabet; ++a) all.push_back(static_cast<char>('A' + a));
   rows.push_back(all);
   return MakeDatabaseFromStrings(rows);
+}
+
+/// Serve-side snapshot (IncrementalInvertedIndex) of `db` with an empty
+/// sequence added before every `every`-th sequence and one at the end; the
+/// empty sequences have null blocks. Sequence ids shift, but every mined
+/// pattern and support equals the batch answer.
+inline InvertedIndex SnapshotWithEmptySequences(const SequenceDatabase& db,
+                                                size_t every) {
+  IncrementalInvertedIndex incremental;
+  for (SeqId i = 0; i < db.size(); ++i) {
+    if (i % every == 0) incremental.AddSequence(std::span<const EventId>());
+    incremental.AddSequence(db[i].events());
+  }
+  incremental.AddSequence(std::span<const EventId>());
+  return incremental.Snapshot();
+}
+
+/// Present events of `index` whose id is not a multiple of 3 — a
+/// deterministic restrict_alphabet that drops about a third of the events.
+inline std::vector<EventId> TwoThirdsAlphabet(const InvertedIndex& index) {
+  std::vector<EventId> events;
+  for (EventId e : index.present_events()) {
+    if (e % 3 != 0) events.push_back(e);
+  }
+  return events;
 }
 
 }  // namespace gsgrow::testing
