@@ -9,16 +9,12 @@
 // paper's claim that "our closed-pattern mining algorithm is sped up
 // significantly with these two checking strategies".
 //
-// The harness also carries the storage ablation for the delta-compressed
-// posting blocks (DESIGN.md §9): every dataset runs the full variant twice,
-// once on the default compressed index and once on a plain-postings build,
-// with index_bytes recorded per row. The two encodings must produce the
-// identical closed set — a mismatch in any identity gate (plain-vs-
-// compressed or memoized-vs-seed) makes the harness exit non-zero.
+// Every row records index_bytes (InvertedIndex::MemoryUsage). A mismatch in
+// the memoized-vs-seed identity gate makes the harness exit non-zero.
 //
 // Rows land in BENCH_ablation_pruning.json (and, when GSGROW_BENCH_JSON is
-// set, are appended there too) so the memoized-vs-seed speedup and the
-// compression ratio are tracked across PRs, not inferred from stdout.
+// set, are appended there too) so the memoized-vs-seed speedup is tracked
+// across PRs, not inferred from stdout.
 
 #include <cstdio>
 #include <string>
@@ -102,12 +98,10 @@ int main() {
   {
     // Storage-dense configuration: very long sequences over a tiny
     // alphabet, so per-(sequence,event) position lists run to hundreds of
-    // entries and the delta-compressed blocks engage fully (multi-group
-    // packing, ~2x+ byte reduction). The support floor sits near the top
-    // event counts — occurrence-based support explodes combinatorially on
-    // this shape, and a near-saturation threshold keeps the run finishing
-    // inside the budget so the encoding identity gate is verified on
-    // completed output.
+    // entries. The support floor sits near the top event counts —
+    // occurrence-based support explodes combinatorially on this shape, and
+    // a near-saturation threshold keeps the run finishing inside the budget
+    // so the identity gate is verified on completed output.
     QuestParams params;
     params.num_sequences =
         static_cast<uint32_t>(std::max(10.0, 100 * scale));
@@ -131,8 +125,6 @@ int main() {
   for (const auto& [name, db] : datasets) {
     std::printf("%s\n", FormatStatsReport(name, db).c_str());
     InvertedIndex index(db);
-    InvertedIndex plain_index(db,
-                              IndexBuildOptions{.compress_postings = false});
     uint64_t min_sup = bench::ScaledMinSup(20, scale);
     if (name.rfind("jboss", 0) == 0) min_sup = 18;
     // The closure-heavy corpus has far larger supports (small alphabet,
@@ -148,7 +140,7 @@ int main() {
     TextTable table({"variant", "threads", "time", "closed patterns",
                      "nodes visited", "lb-pruned subtrees", "insgrow calls",
                      "next queries", "regrow events"});
-    bench::Cell memoized_cell, seed_cell, plain_cell;
+    bench::Cell memoized_cell, seed_cell;
     for (const Variant& v : variants) {
       MiningResult result =
           MineClosedFrequent(index, VariantOptions(v, min_sup, budget));
@@ -166,29 +158,6 @@ int main() {
                         result.stats.closure_regrow_events)});
       std::string json =
           bench::CellJson("ablation_pruning", name, v.name, cell);
-      json_rows.push_back(json);
-      bench::AppendBenchJson(json);
-    }
-    // Storage ablation arm: the full variant on the PLAIN (uncompressed)
-    // index. Everything about the search is identical — only the posting
-    // storage and the cursor decode path differ — so this row isolates the
-    // cost/benefit of the delta-compressed blocks (DESIGN.md §9).
-    {
-      MiningResult result = MineClosedFrequent(
-          plain_index, VariantOptions(variants[0], min_sup, budget));
-      plain_cell = bench::ToCell(result);
-      plain_cell.index_bytes = plain_index.MemoryUsage();
-      table.AddRow({"plain postings", "1", bench::CellTime(plain_cell),
-                    bench::CellCount(plain_cell),
-                    WithThousandsSeparators(result.stats.nodes_visited),
-                    WithThousandsSeparators(result.stats.lb_pruned_subtrees),
-                    WithThousandsSeparators(result.stats.insgrow_calls),
-                    WithThousandsSeparators(result.stats.next_queries),
-                    WithThousandsSeparators(
-                        result.stats.closure_regrow_events)});
-      std::string json =
-          bench::CellJson("ablation_pruning", name, "plain postings",
-                          plain_cell);
       json_rows.push_back(json);
       bench::AppendBenchJson(json);
     }
@@ -228,14 +197,8 @@ int main() {
     std::printf("(min_sup=%llu)\n%s",
                 static_cast<unsigned long long>(min_sup),
                 table.ToString().c_str());
-    std::printf(
-        "index bytes: compressed %s vs plain %s (%.2fx smaller)\n",
-        WithThousandsSeparators(index.MemoryUsage()).c_str(),
-        WithThousandsSeparators(plain_index.MemoryUsage()).c_str(),
-        index.MemoryUsage() > 0
-            ? static_cast<double>(plain_index.MemoryUsage()) /
-                  static_cast<double>(index.MemoryUsage())
-            : 0.0);
+    std::printf("index bytes: %s\n",
+                WithThousandsSeparators(index.MemoryUsage()).c_str());
     // The memoized-vs-seed pair must agree exactly; when neither run was
     // cut off, re-mine with collection on and compare the pattern sets so
     // the speedup claim is tied to identical output. The collecting
@@ -262,23 +225,6 @@ int main() {
                     : (memo.patterns == seeded.patterns ? "yes" : "NO (BUG)");
       std::printf("memoized vs seed: %.2fx speedup, closed set identical: %s\n",
                   speedup, identical);
-      // Encoding identity gate: the plain-postings arm must mine the exact
-      // same closed set as the compressed default.
-      if (!plain_cell.truncated()) {
-        MiningResult plain_mined =
-            MineClosedFrequent(plain_index, collect_memo);
-        const bool plain_verified =
-            !memo.stats.truncated && !plain_mined.stats.truncated;
-        if (plain_verified && memo.patterns != plain_mined.patterns) {
-          gates_ok = false;
-        }
-        std::printf(
-            "compressed vs plain: closed set identical: %s\n",
-            !plain_verified
-                ? "not verified (collection run truncated)"
-                : (memo.patterns == plain_mined.patterns ? "yes"
-                                                         : "NO (BUG)"));
-      }
     }
     std::printf("\n");
   }

@@ -14,12 +14,6 @@
 // tcas-like node (runs of 1-2 instances) and a Quest root node (most
 // candidates absent from most sequences) — the two shapes the per-node
 // list table was built for.
-//
-// The *Plain variants re-run the cursor, INSgrow, and index-build
-// benchmarks on an uncompressed-postings index (IndexBuildOptions): the
-// unsuffixed benchmarks measure the default delta-compressed blocks, so
-// each Plain/default pair is the decode-cost half of the DESIGN.md §9
-// storage ablation (the byte-count half lives in the table harnesses).
 
 #include <benchmark/benchmark.h>
 
@@ -53,12 +47,6 @@ const InvertedIndex& TestIndex() {
   return *index;
 }
 
-const InvertedIndex& TestPlainIndex() {
-  static InvertedIndex* index = new InvertedIndex(
-      TestDb(), IndexBuildOptions{.compress_postings = false});
-  return *index;
-}
-
 // Dense corpus: small alphabet over long sequences, so per-(sequence,
 // event) position lists are long and support sets carry many instances per
 // sequence run — the regime the cursor's run-resolved galloping targets
@@ -81,16 +69,9 @@ const InvertedIndex& DenseIndex() {
   return *index;
 }
 
-const InvertedIndex& DensePlainIndex() {
-  static InvertedIndex* index = new InvertedIndex(
-      DenseDb(), IndexBuildOptions{.compress_postings = false});
-  return *index;
-}
-
 // Long-list corpus: one multi-thousand-event sequence over a 5-event
-// alphabet, so each (sequence, event) list spans MANY packed groups. This
-// is the regime the delta-compressed blocks target — skip pointers gallop
-// over whole groups and the byte footprint shrinks well past 2x.
+// alphabet, so each (sequence, event) list holds ~8000 positions — the
+// regime where the cursor's gallop covers long strides.
 const SequenceDatabase& LongDb() {
   static SequenceDatabase* db = [] {
     std::vector<EventId> events;
@@ -111,12 +92,6 @@ const SequenceDatabase& LongDb() {
 
 const InvertedIndex& LongIndex() {
   static InvertedIndex* index = new InvertedIndex(LongDb());
-  return *index;
-}
-
-const InvertedIndex& LongPlainIndex() {
-  static InvertedIndex* index = new InvertedIndex(
-      LongDb(), IndexBuildOptions{.compress_postings = false});
   return *index;
 }
 
@@ -147,25 +122,16 @@ std::vector<EventId> TopEvents(const InvertedIndex& index, size_t k) {
   return events;
 }
 
-void IndexBuild(benchmark::State& state, const IndexBuildOptions& options) {
+void BM_IndexBuild(benchmark::State& state) {
   const SequenceDatabase& db = TestDb();
   for (auto _ : state) {
-    InvertedIndex index(db, options);
+    InvertedIndex index(db);
     benchmark::DoNotOptimize(index.alphabet_size());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(db.Stats().total_length));
 }
-
-void BM_IndexBuild(benchmark::State& state) {
-  IndexBuild(state, IndexBuildOptions{.compress_postings = true});
-}
 BENCHMARK(BM_IndexBuild);
-
-void BM_IndexBuildPlain(benchmark::State& state) {
-  IndexBuild(state, IndexBuildOptions{.compress_postings = false});
-}
-BENCHMARK(BM_IndexBuildPlain);
 
 void BM_NextQuery(benchmark::State& state) {
   const InvertedIndex& index = TestIndex();
@@ -184,8 +150,7 @@ BENCHMARK(BM_NextQuery);
 // The same rising-bound query stream answered by one PositionCursor per
 // sweep: the event slot is resolved once and queries gallop forward. The
 // sweep runs over the LONGEST position list of the corpus's most frequent
-// event, so on the compressed index the cursor works across multiple
-// packed groups (skip + decode), not a degenerate short list.
+// event, not a degenerate short list.
 void NextQueryCursor(benchmark::State& state, const InvertedIndex& index) {
   EventId e = TopEvents(index, 1)[0];
   SeqId seq = index.Postings(e)[0].seq;
@@ -212,34 +177,18 @@ void BM_NextQueryCursor(benchmark::State& state) {
 }
 BENCHMARK(BM_NextQueryCursor);
 
-void BM_NextQueryCursorPlain(benchmark::State& state) {
-  NextQueryCursor(state, TestPlainIndex());
-}
-BENCHMARK(BM_NextQueryCursorPlain);
-
 void BM_NextQueryCursorDense(benchmark::State& state) {
   NextQueryCursor(state, DenseIndex());
 }
 BENCHMARK(BM_NextQueryCursorDense);
-
-void BM_NextQueryCursorDensePlain(benchmark::State& state) {
-  NextQueryCursor(state, DensePlainIndex());
-}
-BENCHMARK(BM_NextQueryCursorDensePlain);
 
 void BM_NextQueryCursorLong(benchmark::State& state) {
   NextQueryCursor(state, LongIndex());
 }
 BENCHMARK(BM_NextQueryCursorLong);
 
-void BM_NextQueryCursorLongPlain(benchmark::State& state) {
-  NextQueryCursor(state, LongPlainIndex());
-}
-BENCHMARK(BM_NextQueryCursorLongPlain);
-
-// Rising-bound queries with a large stride: most queries skip past whole
-// packed groups, so the compressed cursor answers from the group-max skip
-// pointers without decoding the skipped groups.
+// Rising-bound queries with a large stride: every query gallops past
+// hundreds of positions.
 void NextQueryCursorSkip(benchmark::State& state,
                          const InvertedIndex& index) {
   EventId e = TopEvents(index, 1)[0];
@@ -267,11 +216,6 @@ void BM_NextQueryCursorSkipLong(benchmark::State& state) {
   NextQueryCursorSkip(state, LongIndex());
 }
 BENCHMARK(BM_NextQueryCursorSkipLong);
-
-void BM_NextQueryCursorSkipLongPlain(benchmark::State& state) {
-  NextQueryCursorSkip(state, LongPlainIndex());
-}
-BENCHMARK(BM_NextQueryCursorSkipLongPlain);
 
 void BM_RootInstances(benchmark::State& state) {
   const InvertedIndex& index = TestIndex();
@@ -322,20 +266,10 @@ void BM_INSgrowReference(benchmark::State& state) {
 }
 BENCHMARK(BM_INSgrowReference);
 
-void BM_INSgrowPlain(benchmark::State& state) {
-  INSgrowFast(state, TestPlainIndex());
-}
-BENCHMARK(BM_INSgrowPlain);
-
 void BM_INSgrowDense(benchmark::State& state) {
   INSgrowFast(state, DenseIndex());
 }
 BENCHMARK(BM_INSgrowDense);
-
-void BM_INSgrowDensePlain(benchmark::State& state) {
-  INSgrowFast(state, DensePlainIndex());
-}
-BENCHMARK(BM_INSgrowDensePlain);
 
 void BM_INSgrowDenseReference(benchmark::State& state) {
   INSgrowReference(state, DenseIndex());

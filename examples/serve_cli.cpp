@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
       cache == "off" ? 0 : static_cast<size_t>(cache_mb) << 20;
 
   std::unique_ptr<MiningService> durable_service;
-  MiningService memory_service{IndexBuildOptions{}, cache_options};
+  MiningService memory_service{cache_options};
   MiningService* service = &memory_service;
 
   const std::string durable_dir = flags.GetString("durable_dir", "");
@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
     }
     options.group_commit_appends = static_cast<size_t>(group);
     Result<std::unique_ptr<MiningService>> opened =
-        MiningService::OpenDurable(options, IndexBuildOptions{}, cache_options);
+        MiningService::OpenDurable(options, cache_options);
     if (!opened.ok()) {
       return StartupFailure("cannot open durable store", durable_dir,
                             opened.status());

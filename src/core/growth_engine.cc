@@ -223,7 +223,7 @@ bool ClosurePruning::CheckInsertExtensions(const GrowthNode& node,
       if (gap == 0) {
         current->clear();
         for (size_t r = 0; r < lists.num_rows(); ++r) {
-          const PositionListView positions = lists.List(r, col);
+          const std::span<const Position> positions = lists.List(r, col);
           if (positions.size() < lists.row_count(r)) {
             alive = false;  // coverage already broken (filter disabled)
             break;

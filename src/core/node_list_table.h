@@ -18,9 +18,9 @@
 // event does not occur there), in 2 bytes — or in 4 when some row's
 // sequence has 65535 or more distinct events — plus one block pointer per
 // row, so a table costs rows x cols x 2 B (at most 4 B). The cell is
-// deliberately not a PositionListView (40 bytes) — the view is rebuilt
-// from (block, slot) in a few loads when a run asks for it, and the table
-// stays small enough to remain cache-resident at a wide root.
+// deliberately not the list's std::span (16 bytes, 8x a cell) — the span is
+// rebuilt from (block, slot) with two offset loads when a run asks for it,
+// and the table stays small enough to remain cache-resident at a wide root.
 //
 // The table is a reusable buffer: Reset / AddColumns / Build rebuild it for
 // the next node while keeping every vector's capacity, so a warm table
@@ -77,7 +77,7 @@ class NodeListTable {
   uint32_t Column(EventId e) const;
 
   /// Positions of column `col`'s event in row `row`'s sequence.
-  PositionListView List(size_t row, uint32_t col) const {
+  std::span<const Position> List(size_t row, uint32_t col) const {
     GSGROW_DCHECK(built_ && row < num_rows() && col < num_columns());
     const size_t i = col * num_rows() + row;
     const uint32_t cell = wide_ ? wide_cells_[i] : narrow_cells_[i];

@@ -72,7 +72,8 @@ Status ParseQueryArgs(std::string_view verb,
       if (!ParseUint64(value, &n)) return BadArg(verb, tokens[i], "max_len=N");
       request.options.max_pattern_length = static_cast<size_t>(n);
     } else if (key == "budget") {
-      if (!ParseDouble(value, &d) || d <= 0) {
+      // Negated so NaN (which strtod accepts) fails too; inf means no limit.
+      if (!ParseDouble(value, &d) || !(d > 0)) {
         return BadArg(verb, tokens[i], "budget=SECONDS");
       }
       request.options.time_budget_seconds = d;

@@ -34,7 +34,7 @@
 // a pure function of it and are rebuilt on recovery through the same
 // AddSequence path the live service used — the crash-replay differential
 // pins the rebuilt surface byte-identical, and the spill stays immune to
-// posting-encoding changes.
+// index layout changes.
 
 #ifndef GSGROW_SERVE_DURABILITY_H_
 #define GSGROW_SERVE_DURABILITY_H_

@@ -746,8 +746,7 @@ Status MiningService::ReplayRecord(const serve::LogRecord& record) {
 }
 
 Result<std::unique_ptr<MiningService>> MiningService::OpenDurable(
-    const DurabilityOptions& options, const IndexBuildOptions& index_options,
-    const ResultCacheOptions& cache_options) {
+    const DurabilityOptions& options, const ResultCacheOptions& cache_options) {
   if (options.dir.empty()) {
     return Status::InvalidArgument("DurabilityOptions.dir must be set");
   }
@@ -758,7 +757,7 @@ Result<std::unique_ptr<MiningService>> MiningService::OpenDurable(
   GSGROW_RETURN_NOT_OK(persist::CreateDirIfMissing(options.dir));
 
   WallTimer timer;
-  auto service = std::make_unique<MiningService>(index_options, cache_options);
+  auto service = std::make_unique<MiningService>(cache_options);
   // The service is single-owner until this function returns, but the
   // recovery body writes guarded fields (db_, index_, wal_) — hold the lock
   // so the thread-safety analysis can prove every access, here and in the

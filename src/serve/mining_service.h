@@ -85,20 +85,21 @@ struct RecoveryInfo {
 
 class MiningService {
  public:
-  MiningService() : MiningService(IndexBuildOptions{}) {}
+  MiningService() : MiningService(ResultCacheOptions{}) {}
 
-  /// Service whose index freezes blocks with the given storage options —
-  /// the plain-postings arm of bench/serving_queries uses this; production
-  /// callers take the (compressed) default. The result cache
-  /// (serve/result_cache.h) is ON by default; cache_options.max_bytes == 0
-  /// disables it (every query mines cold) — the bench cold arms and the
-  /// cache-on/off differential use that.
-  explicit MiningService(const IndexBuildOptions& index_options,
-                         const ResultCacheOptions& cache_options = {})
-      : index_(index_options),
-        cache_(cache_options.max_bytes == 0
+  /// The result cache (serve/result_cache.h) is ON by default;
+  /// cache_options.max_bytes == 0 disables it (every query mines cold) —
+  /// the bench cold arms and the cache-on/off differential use that.
+  explicit MiningService(const ResultCacheOptions& cache_options)
+      : cache_(cache_options.max_bytes == 0
                    ? nullptr
                    : std::make_unique<ResultCache>(cache_options)) {}
+
+  /// Same as above. IndexBuildOptions is empty (the index has one layout);
+  /// this form stays for callers that still pass it.
+  explicit MiningService(const IndexBuildOptions& /*index_options*/,
+                         const ResultCacheOptions& cache_options = {})
+      : MiningService(cache_options) {}
 
   MiningService(const MiningService&) = delete;
   MiningService& operator=(const MiningService&) = delete;
@@ -114,7 +115,6 @@ class MiningService {
   /// DESIGN.md §12), so a stale pre-crash answer can never be served.
   static Result<std::unique_ptr<MiningService>> OpenDurable(
       const DurabilityOptions& options,
-      const IndexBuildOptions& index_options = {},
       const ResultCacheOptions& cache_options = {});
 
   /// Appends a new sequence of event names; returns its id. Bad input

@@ -277,8 +277,9 @@ TEST(EngineParity, MemoizedClosureMatchesSeedPath) {
 
 // The same agreement on the inputs the list table is most exposed to:
 // tcas-like loop traces, a serve snapshot whose empty sequences have null
-// blocks, and an event-alphabet restriction (which shrinks the append and
-// insert columns independently).
+// blocks, an event-alphabet restriction (which shrinks the append and
+// insert columns independently), and a dense corpus whose position lists
+// are long enough for the cursors to gallop across many positions.
 TEST(EngineParity, MemoizedClosureMatchesSeedPathOnListTableShapes) {
   for (uint64_t seed : {3u, 4u}) {
     SequenceDatabase db = TcasDatabase(20, seed);
@@ -314,6 +315,15 @@ TEST(EngineParity, MemoizedClosureMatchesSeedPathOnListTableShapes) {
     ExpectSameDecisions(MineClosedFrequent(snapshot, options),
                         MineClosedReference(snapshot, options),
                         "quest snapshot seed=" + std::to_string(seed));
+  }
+  {
+    Rng rng(871);
+    SequenceDatabase db = testing::RandomDatabase(&rng, 4, 100, 150, 6);
+    InvertedIndex dense(db);
+    MinerOptions options;
+    options.min_support = 60;
+    ExpectSameDecisions(MineClosedFrequent(dense, options),
+                        MineClosedReference(dense, options), "dense");
   }
 }
 

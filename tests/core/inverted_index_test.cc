@@ -1,6 +1,7 @@
 #include "core/inverted_index.h"
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -10,12 +11,10 @@
 #include "core/sequence_database.h"
 #include "core/topk.h"
 #include "test_util.h"
+#include "util/arena.h"
 
 namespace gsgrow {
 namespace {
-
-constexpr IndexBuildOptions kPlain{.compress_postings = false};
-constexpr IndexBuildOptions kCompressed{.compress_postings = true};
 
 class InvertedIndexTest : public ::testing::Test {
  protected:
@@ -157,31 +156,26 @@ TEST_F(InvertedIndexTest, DefaultCursorIsEmpty) {
 
 // The galloping advance must agree with fresh binary searches for every
 // non-decreasing query stream, including large jumps that exercise the
-// doubling phase (and, compressed, the group-skip search) and repeated
-// equal bounds. Runs on BOTH encodings; sequences up to several hundred
-// positions over a small alphabet make multi-group compressed lists common.
+// doubling phase and repeated equal bounds. Sequences up to several hundred
+// positions over a small alphabet give lists long enough to gallop far.
 TEST(InvertedIndexProperty, CursorMatchesNextAtOrAfterOnRandomStreams) {
   Rng rng(202);
   for (int round = 0; round < 50; ++round) {
     const size_t max_len = round % 3 == 2 ? 400 : 60;
     SequenceDatabase db = testing::RandomDatabase(&rng, 2, 10, max_len, 3);
-    for (const IndexBuildOptions& options : {kPlain, kCompressed}) {
-      InvertedIndex idx(db, options);
-      for (SeqId i = 0; i < db.size(); ++i) {
-        for (EventId e = 0; e < db.AlphabetSize(); ++e) {
-          PositionCursor cursor = idx.Cursor(i, e);
-          Position from = 0;
-          while (from <= db[i].length()) {
-            EXPECT_EQ(cursor.NextAtOrAfter(from),
-                      idx.NextAtOrAfter(i, e, from))
-                << "round=" << round << " seq=" << i << " e=" << e
-                << " from=" << from
-                << " compressed=" << options.compress_postings;
-            // Mix of small steps (consume adjacent positions) and jumps
-            // (force galloping over several positions / groups at once).
-            from += 1 + static_cast<Position>(rng.UniformInt(
-                           round % 2 == 0 ? 3 : db[i].length() / 2 + 1));
-          }
+    InvertedIndex idx(db);
+    for (SeqId i = 0; i < db.size(); ++i) {
+      for (EventId e = 0; e < db.AlphabetSize(); ++e) {
+        PositionCursor cursor = idx.Cursor(i, e);
+        Position from = 0;
+        while (from <= db[i].length()) {
+          EXPECT_EQ(cursor.NextAtOrAfter(from), idx.NextAtOrAfter(i, e, from))
+              << "round=" << round << " seq=" << i << " e=" << e
+              << " from=" << from;
+          // Mix of small steps (consume adjacent positions) and jumps
+          // (force galloping over several positions at once).
+          from += 1 + static_cast<Position>(rng.UniformInt(
+                         round % 2 == 0 ? 3 : db[i].length() / 2 + 1));
         }
       }
     }
@@ -212,124 +206,131 @@ TEST(InvertedIndexProperty, NextMatchesLinearScan) {
   }
 }
 
-// The two encodings must present the identical query surface: views,
-// random access, Materialize, counts, and point queries.
+// The plain CSR layout reaches the miner in two assemblies: the batch
+// constructor (every block in one shared arena) and the snapshot-assembly
+// constructor adopting blocks frozen one arena each, as a serve snapshot
+// does. This builds the second straight from the database by a per-event
+// scan, independently of the batch path.
+InvertedIndex AssembleFromPerSequenceBlocks(const SequenceDatabase& db) {
+  const EventId alphabet = db.AlphabetSize();
+  std::vector<std::shared_ptr<const InvertedIndex::SeqBlock>> blocks(
+      db.size());
+  std::vector<std::vector<InvertedIndex::Posting>> postings(alphabet);
+  std::vector<uint64_t> totals(alphabet, 0);
+  for (SeqId i = 0; i < db.size(); ++i) {
+    const Sequence& s = db[i];
+    std::vector<EventId> events;
+    std::vector<uint32_t> offsets;
+    std::vector<Position> positions;
+    for (EventId e = 0; e < alphabet; ++e) {
+      const uint32_t begin = static_cast<uint32_t>(positions.size());
+      for (Position p = 0; p < s.length(); ++p) {
+        if (s[p] == e) positions.push_back(p);
+      }
+      const uint32_t count = static_cast<uint32_t>(positions.size()) - begin;
+      if (count == 0) continue;
+      events.push_back(e);
+      offsets.push_back(begin);
+      postings[e].push_back(InvertedIndex::Posting{i, count});
+      totals[e] += count;
+    }
+    if (events.empty()) continue;
+    offsets.push_back(static_cast<uint32_t>(positions.size()));
+    blocks[i] = InvertedIndex::BuildSeqBlock(events, offsets, positions,
+                                             std::make_shared<Arena>());
+  }
+  std::vector<std::shared_ptr<const InvertedIndex::EventPostings>> frozen(
+      alphabet);
+  std::vector<EventId> present;
+  for (EventId e = 0; e < alphabet; ++e) {
+    if (totals[e] == 0) continue;
+    frozen[e] = InvertedIndex::BuildEventPostings(postings[e], totals[e],
+                                                  std::make_shared<Arena>());
+    present.push_back(e);
+  }
+  return InvertedIndex(std::move(blocks), std::move(frozen),
+                       std::move(present), alphabet);
+}
+
+// The two assemblies must present the identical query surface: position
+// lists, counts, point queries, postings and the present-event list.
 TEST(InvertedIndexProperty, EncodingsAgreeOnFullQuerySurface) {
   Rng rng(613);
-  std::vector<Position> scratch_p, scratch_c;
   for (int round = 0; round < 12; ++round) {
-    // Long sequences over a small alphabet force multi-group lists;
-    // occasional large alphabets force short (plain-within-compressed)
-    // lists.
+    // Long sequences over a small alphabet give lists hundreds long;
+    // occasional large alphabets give short and absent lists.
     const size_t alphabet = round % 4 == 3 ? 20 : 3;
     SequenceDatabase db = testing::RandomDatabase(&rng, 3, 50, 500, alphabet);
-    InvertedIndex plain(db, kPlain);
-    InvertedIndex compressed(db, kCompressed);
+    InvertedIndex batch(db);
+    InvertedIndex assembled = AssembleFromPerSequenceBlocks(db);
+    ASSERT_EQ(batch.num_sequences(), assembled.num_sequences());
+    ASSERT_EQ(batch.alphabet_size(), assembled.alphabet_size());
+    ASSERT_EQ(batch.present_events(), assembled.present_events());
     for (SeqId i = 0; i < db.size(); ++i) {
-      ASSERT_EQ(plain.SequenceLength(i), compressed.SequenceLength(i));
+      ASSERT_EQ(batch.SequenceLength(i), assembled.SequenceLength(i));
+      const auto eb = batch.EventsInSequence(i);
+      const auto ea = assembled.EventsInSequence(i);
+      ASSERT_TRUE(std::equal(eb.begin(), eb.end(), ea.begin(), ea.end()));
       for (EventId e = 0; e < db.AlphabetSize(); ++e) {
-        const PositionListView vp = plain.Positions(i, e);
-        const PositionListView vc = compressed.Positions(i, e);
-        ASSERT_EQ(vp.size(), vc.size()) << "seq " << i << " e " << e;
-        EXPECT_FALSE(vp.compressed());
-        const auto mp = vp.Materialize(scratch_p);
-        const auto mc = vc.Materialize(scratch_c);
-        ASSERT_TRUE(std::equal(mp.begin(), mp.end(), mc.begin(), mc.end()));
-        // Iteration and operator[] agree with the materialized list.
-        size_t k = 0;
-        for (const Position p : vc) {
-          ASSERT_EQ(p, mp[k]) << "iter k=" << k;
-          ASSERT_EQ(vc[k], mp[k]) << "operator[] k=" << k;
-          ++k;
-        }
-        ASSERT_EQ(k, vc.size());
+        const auto pb = batch.Positions(i, e);
+        const auto pa = assembled.Positions(i, e);
+        ASSERT_TRUE(std::equal(pb.begin(), pb.end(), pa.begin(), pa.end()))
+            << "seq " << i << " e " << e;
         for (Position from = 0; from <= db[i].length() + 1; ++from) {
-          ASSERT_EQ(plain.NextAtOrAfter(i, e, from),
-                    compressed.NextAtOrAfter(i, e, from))
+          ASSERT_EQ(batch.NextAtOrAfter(i, e, from),
+                    assembled.NextAtOrAfter(i, e, from))
               << "seq " << i << " e " << e << " from " << from;
         }
-        ASSERT_EQ(plain.Count(i, e), compressed.Count(i, e));
+        ASSERT_EQ(batch.Count(i, e), assembled.Count(i, e));
       }
+    }
+    for (EventId e = 0; e < db.AlphabetSize(); ++e) {
+      ASSERT_EQ(batch.TotalCount(e), assembled.TotalCount(e));
+      const auto qb = batch.Postings(e);
+      const auto qa = assembled.Postings(e);
+      ASSERT_TRUE(std::equal(qb.begin(), qb.end(), qa.begin(), qa.end()))
+          << "postings of e " << e;
     }
   }
 }
 
-// Acceptance gate: mined output must be byte-identical across encodings —
-// closed (with full Table-I annotations), all-frequent, and top-K.
+// Acceptance gate: mined output must be byte-identical across the two
+// assemblies — closed (with full Table-I annotations), all-frequent, and
+// top-K.
 TEST(InvertedIndexProperty, MiningIsIdenticalAcrossEncodings) {
   Rng rng(871);
   for (int round = 0; round < 6; ++round) {
     // Small alphabets + modest lengths keep the closed-pattern space sane
     // (repetitive support counts OCCURRENCES, so long low-alphabet
     // sequences explode combinatorially); one long-sequence round still
-    // exercises multi-group compressed lists.
+    // exercises long position lists.
     SequenceDatabase db =
         round == 5 ? testing::RandomDatabase(&rng, 4, 100, 150, 6)
                    : testing::RandomDatabase(&rng, 6, 10, 35, 5);
-    InvertedIndex plain(db, kPlain);
-    InvertedIndex compressed(db, kCompressed);
+    InvertedIndex batch(db);
+    InvertedIndex assembled = AssembleFromPerSequenceBlocks(db);
 
     MinerOptions options;
     options.min_support = round == 5 ? 60 : 6;
     options.semantics = SemanticsOptions::All(/*window_width=*/6,
                                               /*min_gap=*/0, /*max_gap=*/4);
-    ASSERT_EQ(MineClosedFrequent(plain, options).patterns,
-              MineClosedFrequent(compressed, options).patterns)
+    ASSERT_EQ(MineClosedFrequent(batch, options).patterns,
+              MineClosedFrequent(assembled, options).patterns)
         << "closed mining diverged, round " << round;
 
     options.semantics = SemanticsOptions{};
     options.max_pattern_length = 4;
-    ASSERT_EQ(MineAllFrequent(plain, options).patterns,
-              MineAllFrequent(compressed, options).patterns)
+    ASSERT_EQ(MineAllFrequent(batch, options).patterns,
+              MineAllFrequent(assembled, options).patterns)
         << "all-frequent mining diverged, round " << round;
 
     TopKOptions topk;
     topk.k = 10;
     topk.min_length = 2;
-    ASSERT_EQ(MineTopKClosed(plain, topk).patterns,
-              MineTopKClosed(compressed, topk).patterns)
+    ASSERT_EQ(MineTopKClosed(batch, topk).patterns,
+              MineTopKClosed(assembled, topk).patterns)
         << "top-K mining diverged, round " << round;
   }
-}
-
-// The point of the exercise, pinned as a number: long position lists must
-// take materially less storage compressed, and MemoryUsage must see it.
-TEST(InvertedIndexProperty, CompressionShrinksDenseIndexes) {
-  Rng rng(99);
-  // 3-letter alphabet, length ~1500: per-event lists of ~500 positions with
-  // small deltas — the quest-style dense regime.
-  SequenceDatabase db = testing::RandomDatabase(&rng, 10, 1200, 1500, 3);
-  InvertedIndex plain(db, kPlain);
-  InvertedIndex compressed(db, kCompressed);
-  EXPECT_GT(plain.MemoryUsage(), 0u);
-  EXPECT_GT(compressed.MemoryUsage(), 0u);
-  EXPECT_GE(plain.MemoryUsage(), 2 * compressed.MemoryUsage())
-      << "plain=" << plain.MemoryUsage()
-      << " compressed=" << compressed.MemoryUsage();
-}
-
-TEST(InvertedIndexProperty, ShortListsStayPlainInsideCompressedBlocks) {
-  // 26 events over short sequences: every list has < kPostingCompressMinCount
-  // entries, so a compressed build must store them plain (no group
-  // metadata blow-up) while still reporting compressed-block layout.
-  SequenceDatabase db = MakeDatabaseFromStrings(
-      {"ABCDEFG", "GFEDCBA", "AABB", "A"});
-  InvertedIndex compressed(db, kCompressed);
-  InvertedIndex plain(db, kPlain);
-  for (SeqId i = 0; i < db.size(); ++i) {
-    for (EventId e = 0; e < db.AlphabetSize(); ++e) {
-      const PositionListView view = compressed.Positions(i, e);
-      EXPECT_FALSE(view.compressed());  // short list => plain storage
-      std::vector<Position> sp, sc;
-      const auto want = plain.Positions(i, e).Materialize(sp);
-      const auto got = view.Materialize(sc);
-      ASSERT_TRUE(std::equal(want.begin(), want.end(), got.begin(),
-                             got.end()));
-    }
-  }
-  // Tiny lists must not pay group-metadata overhead.
-  EXPECT_LE(compressed.MemoryUsage(),
-            plain.MemoryUsage() + db.size() * sizeof(uint32_t) * 8);
 }
 
 #ifndef NDEBUG

@@ -6,6 +6,7 @@
 #include "core/node_list_table.h"
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,8 +20,8 @@
 namespace gsgrow {
 namespace {
 
-std::vector<Position> ToVector(const PositionListView& view) {
-  return std::vector<Position>(view.begin(), view.end());
+std::vector<Position> ToVector(std::span<const Position> list) {
+  return std::vector<Position>(list.begin(), list.end());
 }
 
 // Every event of the index plus ids past the alphabet: the table must
@@ -63,40 +64,37 @@ TEST(NodeListTable, RowsAreTheSupportSetRunsWithTheirCounts) {
             (std::vector<SeqId>{0, 2}));
 }
 
-// Cells resolve to the index's lists on both encodings, over many columns
-// added in several sorted batches, and a reused table (larger node, then a
+// Cells resolve to the index's lists over many columns added in several
+// sorted batches, and a reused table (larger node, then a
 // smaller one) never leaks cells from the previous node.
 TEST(NodeListTable, CellsMatchIndexPositionsOnRandomDatabases) {
   Rng rng(9091);
   for (int round = 0; round < 30; ++round) {
     SequenceDatabase db = testing::RandomDatabase(&rng, 6, 1, 80, 5);
-    for (bool compress : {true, false}) {
-      InvertedIndex index(db, IndexBuildOptions{.compress_postings = compress});
-      const std::vector<EventId> columns = AllColumns(index);
-      NodeListTable lists;
-      for (EventId root : index.present_events()) {
-        const std::string label = "round=" + std::to_string(round) +
-                                  " compress=" + std::to_string(compress) +
-                                  " root=" + std::to_string(root);
-        lists.Reset(index, RootInstances(index, root));
-        // Odd-indexed columns first, then the even ones, then a repeat:
-        // AddColumns must merge to the sorted union.
-        std::vector<EventId> odd, even;
-        for (size_t i = 0; i < columns.size(); ++i) {
-          (i % 2 == 1 ? odd : even).push_back(columns[i]);
-        }
-        lists.AddColumns(odd);
-        lists.AddColumns(even);
-        lists.AddColumns(odd);
-        lists.Build();
-        ExpectCellsMatchIndex(index, lists, columns, label);
+    InvertedIndex index(db);
+    const std::vector<EventId> columns = AllColumns(index);
+    NodeListTable lists;
+    for (EventId root : index.present_events()) {
+      const std::string label = "round=" + std::to_string(round) +
+                                " root=" + std::to_string(root);
+      lists.Reset(index, RootInstances(index, root));
+      // Odd-indexed columns first, then the even ones, then a repeat:
+      // AddColumns must merge to the sorted union.
+      std::vector<EventId> odd, even;
+      for (size_t i = 0; i < columns.size(); ++i) {
+        (i % 2 == 1 ? odd : even).push_back(columns[i]);
       }
+      lists.AddColumns(odd);
+      lists.AddColumns(even);
+      lists.AddColumns(odd);
+      lists.Build();
+      ExpectCellsMatchIndex(index, lists, columns, label);
     }
   }
 }
 
-// The sequence lengths here reach past kPostingCompressMinCount, so some
-// cells point at packed (compressed) lists.
+// Loop traces are long, so many cells point at lists dozens of positions
+// long.
 TEST(NodeListTable, CellsMatchIndexOnLongLoopTraces) {
   SequenceDatabase db = GenerateTcasTraces(20, 3);
   InvertedIndex index(db);

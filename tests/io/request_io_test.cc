@@ -46,6 +46,9 @@ TEST(RequestIo, ParsesMineArguments) {
             (std::vector<std::string>{"a", "b", "c"}));
   EXPECT_EQ(mine.limit, 5u);
   EXPECT_DOUBLE_EQ(mine.request.options.time_budget_seconds, 1.5);
+  // budget=inf is the explicit form of the unlimited default.
+  EXPECT_EQ(MustParse("mine budget=inf").request.options.time_budget_seconds,
+            std::numeric_limits<double>::infinity());
 
   // Defaults: closed mining, unlimited print.
   ServeCommand bare = MustParse("mine");
@@ -84,6 +87,7 @@ TEST(RequestIo, RejectsUnknownKeysAndVerbs) {
   EXPECT_FALSE(ParseServeCommand("mine frobnicate=1").ok());
   EXPECT_FALSE(ParseServeCommand("mine algo=bogus").ok());
   EXPECT_FALSE(ParseServeCommand("mine min_sup=minus").ok());
+  EXPECT_FALSE(ParseServeCommand("mine algo=closed min_sup=2 budget=nan").ok());
   EXPECT_FALSE(ParseServeCommand("unknownverb").ok());
   EXPECT_FALSE(ParseServeCommand("run speed=11").ok());
   EXPECT_TRUE(ParseServeCommand("run threads=3").ok());

@@ -34,7 +34,7 @@ void LoadExample(MiningService* service) {
 MiningService MakeCacheless() {
   ResultCacheOptions off;
   off.max_bytes = 0;
-  return MiningService(IndexBuildOptions{}, off);
+  return MiningService(off);
 }
 
 std::string Bytes(const MiningService& service, const MineResponse& response) {
@@ -272,7 +272,7 @@ TEST(ResultCache, TopKWarmStartIsAnswerInvariant) {
 TEST(ResultCache, LruEvictionByEntryCap) {
   ResultCacheOptions options;
   options.max_entries = 1;
-  MiningService service(IndexBuildOptions{}, options);
+  MiningService service(options);
   LoadExample(&service);
 
   MineRequest a;
