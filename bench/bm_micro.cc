@@ -1,19 +1,15 @@
 // Micro-benchmarks (google-benchmark) for the core primitives of §III-D:
 // inverted-index construction, next() queries (binary-search point queries
-// vs the galloping PositionCursor), root instance sets, INSgrow steps
-// (cursor-based scratch-buffer fast path vs the pre-cursor reference), one
-// DFS node's append-extension loop (list table build + one INSgrow per
-// candidate), one CloGSgrow closure check (memoized vs seed path), and
-// whole supComp runs as pattern length grows.
+// vs the galloping PositionCursor), root instance sets, cursor-based INSgrow
+// steps into a scratch buffer, one DFS node's append-extension loop (list
+// table build + one INSgrow per candidate), one CloGSgrow closure check,
+// and whole supComp runs as pattern length grows.
 //
-// The INSgrow and closure-check pairs are the measured halves of the
-// ablation acceptance: BM_INSgrow* vs BM_INSgrow*Reference is the
-// INSgrow-throughput claim, BM_ClosureCheckMemoized vs BM_ClosureCheckSeed
-// the per-node closure-check claim (see DESIGN.md §5). The
-// BM_AppendExtension* rows time the engine's per-node append loop on a
-// tcas-like node (runs of 1-2 instances) and a Quest root node (most
-// candidates absent from most sequences) — the two shapes the per-node
-// list table was built for.
+// BM_INSgrow* time the INSgrow step and BM_ClosureCheckMemoized the
+// per-node closure check (DESIGN.md §5). The BM_AppendExtension* rows time
+// the engine's per-node append loop on a tcas-like node (runs of 1-2
+// instances) and a Quest root node (most candidates absent from most
+// sequences) — the two shapes the per-node list table was built for.
 
 #include <benchmark/benchmark.h>
 
@@ -230,7 +226,7 @@ BENCHMARK(BM_RootInstances);
 
 // One INSgrow step through the production hot path: cursor-based queries
 // into a reused scratch buffer (zero steady-state allocations).
-void INSgrowFast(benchmark::State& state, const InvertedIndex& index) {
+void INSgrowStep(benchmark::State& state, const InvertedIndex& index) {
   std::vector<EventId> top = TopEvents(index, 2);
   SupportSet base = RootInstances(index, top[0]);
   SupportSet scratch;
@@ -244,37 +240,13 @@ void INSgrowFast(benchmark::State& state, const InvertedIndex& index) {
                           static_cast<int64_t>(base.size()));
 }
 
-// The pre-cursor INSgrow: a full binary search per next() query, fresh
-// allocation per growth — the seed baseline the fast path is measured
-// against.
-void INSgrowReference(benchmark::State& state, const InvertedIndex& index) {
-  std::vector<EventId> top = TopEvents(index, 2);
-  SupportSet base = RootInstances(index, top[0]);
-  for (auto _ : state) {
-    SupportSet grown = GrowSupportSetReference(index, base, top[1]);
-    benchmark::DoNotOptimize(grown.size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(base.size()));
-}
-
-void BM_INSgrow(benchmark::State& state) { INSgrowFast(state, TestIndex()); }
+void BM_INSgrow(benchmark::State& state) { INSgrowStep(state, TestIndex()); }
 BENCHMARK(BM_INSgrow);
 
-void BM_INSgrowReference(benchmark::State& state) {
-  INSgrowReference(state, TestIndex());
-}
-BENCHMARK(BM_INSgrowReference);
-
 void BM_INSgrowDense(benchmark::State& state) {
-  INSgrowFast(state, DenseIndex());
+  INSgrowStep(state, DenseIndex());
 }
 BENCHMARK(BM_INSgrowDense);
-
-void BM_INSgrowDenseReference(benchmark::State& state) {
-  INSgrowReference(state, DenseIndex());
-}
-BENCHMARK(BM_INSgrowDenseReference);
 
 // One DFS node, materialized the way the engine holds it: the prefix
 // support sets of `pattern` and their supports.
@@ -377,7 +349,7 @@ BENCHMARK(BM_AppendExtensionQuest);
 // One full CloGSgrow closure check (CCheck + LBCheck scan) on a closed node
 // of the tcas-like corpus, including the per-node preparation the engine
 // does before it (list table rows, candidate filter, column resolution).
-void ClosureCheck(benchmark::State& state, bool memoized) {
+void BM_ClosureCheckMemoized(benchmark::State& state) {
   const InvertedIndex& index = TcasIndex();
   std::vector<EventId> pattern = TcasClosedPattern();
   if (pattern.empty()) {
@@ -386,7 +358,6 @@ void ClosureCheck(benchmark::State& state, bool memoized) {
   }
   BenchNode node(index, std::move(pattern));
   MinerOptions options;
-  options.use_memoized_closure = memoized;
   ClosurePruning pruning(index, options);
   for (auto _ : state) {
     const GrowthNode view = node.View();
@@ -398,16 +369,7 @@ void ClosureCheck(benchmark::State& state, bool memoized) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-
-void BM_ClosureCheckMemoized(benchmark::State& state) {
-  ClosureCheck(state, true);
-}
 BENCHMARK(BM_ClosureCheckMemoized);
-
-void BM_ClosureCheckSeed(benchmark::State& state) {
-  ClosureCheck(state, false);
-}
-BENCHMARK(BM_ClosureCheckSeed);
 
 void BM_SupComp(benchmark::State& state) {
   const InvertedIndex& index = TestIndex();

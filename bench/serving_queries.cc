@@ -404,7 +404,7 @@ int main() {
   MiningService warm_service;  // default: 64 MB result cache
   ResultCacheOptions no_cache;
   no_cache.max_bytes = 0;
-  MiningService cold_service(IndexBuildOptions{}, no_cache);
+  MiningService cold_service(no_cache);
   if (!warm_service.Ingest(db).ok() || !cold_service.Ingest(db).ok()) {
     std::printf("cache arm ingest failed\n");
     return 1;

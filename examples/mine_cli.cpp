@@ -18,6 +18,10 @@
 // whose annotated value of `measure` is >= N (annotation-routed filtering;
 // postprocess/filters.h).
 //
+// Exit codes follow ExitCodeForStatus: 2 for a bad flag (an unparsable
+// number, --algorithm other than closed|all, a negative or NaN --budget),
+// 3 for a missing input, 4 for an I/O error.
+//
 // --trace prints the request's stage breakdown (obs/trace.h) after the
 // mining summary: snapshot/mine/annotate microseconds plus the DFS shape
 // counters, the same line shape the serve protocol's `trace last` prints.
@@ -41,6 +45,17 @@
 
 using namespace gsgrow;
 
+namespace {
+
+// Bad command-line input: a message and exit 2 (ExitCodeForStatus of
+// InvalidArgument), the same code as every other argument error.
+int BadFlag(const std::string& message) {
+  std::fprintf(stderr, "error: %s\n", message.c_str());
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
   const std::string input = flags.GetString("input", "");
@@ -53,6 +68,44 @@ int main(int argc, char** argv) {
                  "[--semantics=window:w=10,iterative,...] "
                  "[--semantics_floor=measure:N] [--trace]\n");
     return 2;
+  }
+
+  // --- Flags. ---
+  // Every option is read and checked before any work, so a bad value exits
+  // 2 instead of silently mining with a default.
+  MineRequest request;
+  MinerOptions& options = request.options;
+  options.min_support = static_cast<uint64_t>(flags.GetInt("min_sup", 10));
+  const int64_t max_len = flags.GetInt("max_len", 0);
+  if (max_len > 0) options.max_pattern_length = static_cast<size_t>(max_len);
+  // Seconds of mining time; 0 (the default) means unlimited.
+  const double budget = flags.GetDouble("budget", 0.0);
+  if (!(budget >= 0)) return BadFlag("--budget must be >= 0 (0 = unlimited)");
+  if (budget > 0) options.time_budget_seconds = budget;
+  // 0 = one worker per hardware thread; output is identical either way.
+  const int64_t threads = flags.GetInt("threads", 1);
+  if (threads < 0) return BadFlag("--threads must be >= 0");
+  options.num_threads = static_cast<size_t>(threads);
+
+  const std::string semantics_spec = flags.GetString("semantics", "");
+  if (!semantics_spec.empty()) {
+    Result<SemanticsOptions> parsed = ParseSemanticsSpec(semantics_spec);
+    if (!parsed.ok()) return BadFlag(parsed.status().ToString());
+    options.semantics = *parsed;
+  }
+
+  const std::string algorithm = flags.GetString("algorithm", "closed");
+  if (algorithm != "closed" && algorithm != "all") {
+    return BadFlag("--algorithm must be closed|all, got '" + algorithm + "'");
+  }
+  request.miner = algorithm == "all" ? MineRequest::Miner::kAll
+                                     : MineRequest::Miner::kClosed;
+  const bool trace_enabled = flags.GetBool("trace", false);
+  const double density = flags.GetDouble("density", 0.0);
+  const bool maximal = flags.GetBool("maximal", false);
+  const int top = static_cast<int>(flags.GetInt("top", 20));
+  if (Status parsed = flags.CheckParsed(); !parsed.ok()) {
+    return BadFlag(parsed.ToString());
   }
 
   // --- Load. ---
@@ -84,36 +137,6 @@ int main(int argc, char** argv) {
     return ExitCodeForStatus(ingest_status.code());
   }
 
-  MineRequest request;
-  MinerOptions& options = request.options;
-  options.min_support = static_cast<uint64_t>(flags.GetInt("min_sup", 10));
-  const int64_t max_len = flags.GetInt("max_len", 0);
-  if (max_len > 0) options.max_pattern_length = static_cast<size_t>(max_len);
-  const double budget = flags.GetDouble("budget", 0.0);
-  if (budget > 0) options.time_budget_seconds = budget;
-  // 0 = one worker per hardware thread; output is identical either way.
-  const int64_t threads = flags.GetInt("threads", 1);
-  if (threads < 0) {
-    std::fprintf(stderr, "error: --threads must be >= 0\n");
-    return 2;
-  }
-  options.num_threads = static_cast<size_t>(threads);
-
-  const std::string semantics_spec = flags.GetString("semantics", "");
-  if (!semantics_spec.empty()) {
-    Result<SemanticsOptions> parsed = ParseSemanticsSpec(semantics_spec);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   parsed.status().ToString().c_str());
-      return 2;
-    }
-    options.semantics = *parsed;
-  }
-
-  const std::string algorithm = flags.GetString("algorithm", "closed");
-  request.miner = algorithm == "all" ? MineRequest::Miner::kAll
-                                     : MineRequest::Miner::kClosed;
-  const bool trace_enabled = flags.GetBool("trace", false);
   obs::RequestTrace trace;
   MineResponse response;
   if (trace_enabled) {
@@ -143,9 +166,8 @@ int main(int argc, char** argv) {
 
   // --- Post-process. ---
   std::vector<PatternRecord> patterns = std::move(response.patterns);
-  const double density = flags.GetDouble("density", 0.0);
   if (density > 0) patterns = FilterByDensity(patterns, density);
-  if (flags.GetBool("maximal", false)) patterns = FilterMaximal(patterns);
+  if (maximal) patterns = FilterMaximal(patterns);
   const std::string floor_spec = flags.GetString("semantics_floor", "");
   if (!floor_spec.empty()) {
     // measure:N — the measure must be part of --semantics; the filter reads
@@ -179,7 +201,6 @@ int main(int argc, char** argv) {
 
   // --- Report. ---
   const bool annotated = options.semantics.AnyEnabled();
-  const int top = static_cast<int>(flags.GetInt("top", 20));
   std::vector<std::string> header = {"pattern", "len", "sup"};
   if (annotated) header.push_back("semantics");
   TextTable table(header);

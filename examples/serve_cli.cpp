@@ -60,13 +60,21 @@ int StartupFailure(const char* what, const std::string& detail,
 
 int main(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
+  // Numeric flags are read up front so an unparsable value fails the start
+  // instead of silently running with the default.
+  const int64_t cache_mb = flags.GetInt("cache_mb", 64);
+  const int64_t group = flags.GetInt("group_commit", 32);
+  const int64_t slow_query_ms = flags.GetInt("slow_query_ms", -1);
+  if (Status parsed = flags.CheckParsed(); !parsed.ok()) {
+    std::fprintf(stderr, "serve_cli: %s\n", parsed.ToString().c_str());
+    return ExitCodeForStatus(parsed.code());
+  }
 
   const std::string cache = flags.GetString("cache", "on");
   if (cache != "on" && cache != "off") {
     return StartupFailure("bad flag", "--cache=" + cache,
                           Status::InvalidArgument("expected on|off"));
   }
-  const int64_t cache_mb = flags.GetInt("cache_mb", 64);
   if (cache_mb < 0) {
     return StartupFailure("bad flag", "--cache_mb=" + std::to_string(cache_mb),
                           Status::InvalidArgument("expected N >= 0"));
@@ -95,7 +103,6 @@ int main(int argc, char** argv) {
           "bad flag", "--sync=" + sync,
           Status::InvalidArgument("expected none|batch|always"));
     }
-    const int64_t group = flags.GetInt("group_commit", 32);
     if (group < 1) {
       return StartupFailure("bad flag",
                             "--group_commit=" + std::to_string(group),
@@ -140,7 +147,6 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(stats.total_events));
   }
 
-  const int64_t slow_query_ms = flags.GetInt("slow_query_ms", -1);
   if (slow_query_ms < -1) {
     return StartupFailure("bad flag",
                           "--slow_query_ms=" + std::to_string(slow_query_ms),

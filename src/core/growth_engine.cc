@@ -106,9 +106,7 @@ EmitDecision ClosurePruning::Decide(const GrowthNode& node,
   bool prune = false;
   if (!non_closed || options_->use_landmark_border_pruning) {
     node.stats.closure_checks++;
-    prune = options_->use_memoized_closure
-                ? CheckInsertExtensions(node, &non_closed)
-                : CheckInsertExtensionsSeed(node, &non_closed);
+    prune = CheckInsertExtensions(node, &non_closed);
   }
   if (prune) {
     // Theorem 5: no closed pattern has node.pattern as a prefix.
@@ -119,7 +117,6 @@ EmitDecision ClosurePruning::Decide(const GrowthNode& node,
 
 void ClosurePruning::PrepareNode(const GrowthNode& node,
                                  NodeListTable& lists) {
-  if (!options_->use_memoized_closure) return;
   const InvertedIndex& index = *index_;
   const uint64_t support = node.prefix_sets.back().size();
   restricted_built_ = 0;
@@ -171,12 +168,12 @@ void ClosurePruning::PrepareNode(const GrowthNode& node,
 // same relevant-sequence list — the rows of the node's list table
 // (DESIGN.md §5).
 //
-// This is the memoized hot path: per-node tables are built once
-// (PrepareNode, with every position list resolved in the engine's
-// NodeListTable), restricted prefixes are materialized lazily into a
-// persistent arena, and all growth runs cursor-based INSgrow through two
-// reused buffers with the per-sequence-count early exit fused into every
-// step (GrowCoveringInto). Steady state allocates nothing.
+// Per-node tables are built once (PrepareNode, with every position list
+// resolved in the engine's NodeListTable), restricted prefixes are
+// materialized lazily into a persistent arena, and all growth runs
+// cursor-based INSgrow through two reused buffers with the
+// per-sequence-count early exit fused into every step (GrowCoveringInto).
+// Steady state allocates nothing.
 bool ClosurePruning::CheckInsertExtensions(const GrowthNode& node,
                                            bool* non_closed) {
   const NodeListTable& lists = *node.lists;
@@ -347,84 +344,6 @@ bool ClosurePruning::GrowCoveringInto(const NodeListTable& lists,
   return covered;
 }
 
-// The seed implementation, kept verbatim as the ablation baseline measured
-// by bench/ablation_pruning: eager restricted prefix sets rebuilt per node
-// with binary-search membership tests, and an allocating binary-search
-// INSgrow (GrowSupportSetReference) per regrow step. Decisions are
-// identical to the memoized path (pinned by engine_parity_test).
-bool ClosurePruning::CheckInsertExtensionsSeed(const GrowthNode& node,
-                                               bool* non_closed) {
-  const InvertedIndex& index = *index_;
-  MiningStats& stats = node.stats;
-  const std::vector<EventId>& pattern = node.pattern;
-  const SupportSet& support_set = node.prefix_sets.back();
-  const uint64_t support = support_set.size();
-  const size_t m = pattern.size();
-
-  const std::vector<EventId> insert_candidates = InsertCandidates(support_set);
-  if (insert_candidates.empty()) return false;
-
-  // Sequences containing instances of P (support_set is seq-sorted), and
-  // the prefix support sets restricted to them.
-  std::vector<SeqId> relevant;
-  for (const Instance& inst : support_set) {
-    if (relevant.empty() || relevant.back() != inst.seq) {
-      relevant.push_back(inst.seq);
-    }
-  }
-  auto is_relevant = [&](SeqId seq) {
-    return std::binary_search(relevant.begin(), relevant.end(), seq);
-  };
-  std::vector<SupportSet> restricted(m);
-  for (size_t j = 0; j < m; ++j) {
-    restricted[j].reserve(std::min<size_t>(node.prefix_sets[j].size(), 64));
-    for (const Instance& inst : node.prefix_sets[j]) {
-      if (is_relevant(inst.seq)) restricted[j].push_back(inst);
-    }
-  }
-
-  for (size_t gap = 0; gap < m; ++gap) {
-    for (EventId e : insert_candidates) {
-      // Same cooperative-stop poll as the memoized path: both paths must
-      // truncate, not overshoot, when the budget expires mid-check.
-      if (node.run != nullptr && node.run->ShouldStop()) return false;
-      if (e == pattern[gap]) continue;
-      // Base: leftmost support set of e_1..e_gap ◦ e (restricted).
-      SupportSet current;
-      if (gap == 0) {
-        for (SeqId seq : relevant) {
-          for (Position p : index.Positions(seq, e)) {
-            current.push_back(Instance{seq, p, p});
-          }
-        }
-      } else {
-        current = GrowSupportSetReference(index, restricted[gap - 1], e);
-        stats.insgrow_calls++;
-        stats.closure_regrow_events++;
-      }
-      if (current.size() < support) continue;  // Apriori early exit.
-      // Regrow the remaining events of the pattern.
-      bool alive = true;
-      for (size_t k = gap; k < m; ++k) {
-        current = GrowSupportSetReference(index, current, pattern[k]);
-        stats.insgrow_calls++;
-        stats.closure_regrow_events++;
-        if (current.size() < support) {
-          alive = false;
-          break;
-        }
-      }
-      if (!alive) continue;
-      // sup(P') <= sup(P) by the Apriori property, so equality holds here.
-      GSGROW_DCHECK(current.size() == support);
-      *non_closed = true;
-      if (!options_->use_landmark_border_pruning) return false;
-      if (BorderDoesNotShiftRight(current, support_set)) return true;
-    }
-  }
-  return false;
-}
-
 // Theorem 5 condition (ii): with both leftmost support sets sorted in
 // right-shift order, l'^(k)_{m+1} <= l^(k)_m for every k. Condition (i)
 // (equal support) is checked by the caller; equal per-sequence supports
@@ -437,52 +356,6 @@ bool ClosurePruning::BorderDoesNotShiftRight(const SupportSet& extended,
     if (extended[k].last > original[k].last) return false;
   }
   return true;
-}
-
-// Sound candidate filter for insert/prepend extensions: an equal-support
-// extension must preserve the per-sequence supports n_i, and each of the
-// n_i pairwise non-overlapping instances consumes a distinct occurrence of
-// the inserted event, so count_i(e) >= n_i must hold for every sequence
-// with n_i > 0 (DESIGN.md §1). Falls back to all present events when the
-// filter is disabled.
-std::vector<EventId> ClosurePruning::InsertCandidates(
-    const SupportSet& support_set) {
-  const InvertedIndex& index = *index_;
-  const uint64_t support = support_set.size();
-  if (!options_->use_insert_candidate_filter) {
-    std::vector<EventId> all;
-    for (EventId e : index.present_events()) {
-      if (index.TotalCount(e) >= support && AlphabetAllows(*options_, e)) {
-        all.push_back(e);
-      }
-    }
-    return all;
-  }
-  // Gather (sequence, n_i) pairs; support_set is sorted by sequence.
-  std::vector<std::pair<SeqId, uint32_t>> seq_counts;
-  for (const Instance& inst : support_set) {
-    if (!seq_counts.empty() && seq_counts.back().first == inst.seq) {
-      seq_counts.back().second++;
-    } else {
-      seq_counts.emplace_back(inst.seq, 1u);
-    }
-  }
-  // Enumerate events of the first sequence and verify against the rest.
-  std::vector<EventId> out;
-  const auto& [first_seq, first_need] = seq_counts.front();
-  for (EventId e : index.EventsInSequence(first_seq)) {
-    if (!AlphabetAllows(*options_, e)) continue;
-    if (index.Count(first_seq, e) < first_need) continue;
-    bool ok = true;
-    for (size_t i = 1; i < seq_counts.size(); ++i) {
-      if (index.Count(seq_counts[i].first, e) < seq_counts[i].second) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) out.push_back(e);
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------------

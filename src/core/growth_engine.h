@@ -222,13 +222,6 @@ class UnconstrainedExtension {
   /// column; allocation-free once the engine's set pool is warm).
   void ExtendInto(const GrowthNode& node, EventId e, GrownChild& out);
 
-  /// Allocating thin wrapper over ExtendInto.
-  GrownChild Extend(const GrowthNode& node, EventId e) {
-    GrownChild child;
-    ExtendInto(node, e, child);
-    return child;
-  }
-
   const InvertedIndex& index() const { return *index_; }
 
  private:
@@ -266,12 +259,6 @@ class BoundedGapExtension {
   GrownChild Root(EventId e) const;
 
   void ExtendInto(const GrowthNode& node, EventId e, GrownChild& out);
-
-  GrownChild Extend(const GrowthNode& node, EventId e) {
-    GrownChild child;
-    ExtendInto(node, e, child);
-    return child;
-  }
 
   const InvertedIndex& index() const { return *index_; }
 
@@ -320,8 +307,8 @@ class NoPruning {
 /// event, then regrow e_{j+1}..e_m with Apriori early exit. Candidates are
 /// pre-filtered by the sound per-sequence-count condition (DESIGN.md §1).
 ///
-/// The default hot path (use_memoized_closure) is allocation-free in steady
-/// state (DESIGN.md §5): the per-node tables — the engine's list table
+/// The check is allocation-free in steady state (DESIGN.md §5): the
+/// per-node tables — the engine's list table
 /// (relevant sequences with their counts n_i, resolved position lists) and
 /// the candidate events PrepareNode filters through it — are built once per
 /// node and shared across every (gap, candidate) pair; the sequence-restricted
@@ -331,8 +318,9 @@ class NoPruning {
 /// with the per-sequence-count early exit fused into every step — a doomed
 /// candidate aborts at its first under-covered sequence run instead of
 /// regrowing the rest of the pattern.
-/// The pre-memoization path is kept verbatim (CheckInsertExtensionsSeed)
-/// as the ablation baseline; both paths make identical decisions.
+/// The pre-memoization seed check is a test oracle (SeedClosurePruning in
+/// tests/core/closure_oracle.h); engine_parity_test pins identical
+/// decisions.
 class ClosurePruning {
  public:
   static constexpr bool kNeedsChildren = true;
@@ -342,22 +330,15 @@ class ClosurePruning {
 
   /// Runs before the node's append loop, once `lists` has its rows: filters
   /// the insert/prepend candidates through the table's per-row counts and
-  /// adds them and the pattern events to its columns (memoized path only).
+  /// adds them and the pattern events to its columns.
   void PrepareNode(const GrowthNode& node, NodeListTable& lists);
 
   EmitDecision Decide(const GrowthNode& node, bool equal_support_append);
 
  private:
-  // Memoized hot path.
   bool CheckInsertExtensions(const GrowthNode& node, bool* non_closed);
-  // The seed implementation: eager restricted sets, allocating
-  // binary-search INSgrow per regrow step. Ablation baseline
-  // (use_memoized_closure = false).
-  bool CheckInsertExtensionsSeed(const GrowthNode& node, bool* non_closed);
   static bool BorderDoesNotShiftRight(const SupportSet& extended,
                                       const SupportSet& original);
-  // Seed-path candidate enumeration (allocates its result per node).
-  std::vector<EventId> InsertCandidates(const SupportSet& support_set);
 
   // prefix_sets[j] filtered to the relevant sequences (the table's rows),
   // built lazily and cached for the current node in the restricted_ arena.

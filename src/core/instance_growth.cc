@@ -89,31 +89,6 @@ void GrowSupportSetInto(const NodeListTable& lists,
   });
 }
 
-SupportSet GrowSupportSetReference(const InvertedIndex& index,
-                                   const SupportSet& support_set, EventId e) {
-  GSGROW_DCHECK(IsRightShiftSorted(support_set));
-  SupportSet out;
-  out.reserve(support_set.size());
-  const size_t n = support_set.size();
-  size_t k = 0;
-  while (k < n) {
-    const SeqId seq = support_set[k].seq;
-    Position floor = 0;
-    for (; k < n && support_set[k].seq == seq; ++k) {
-      const Instance& inst = support_set[k];
-      const Position from = std::max(floor, inst.last + 1);
-      const Position lj = index.NextAtOrAfter(seq, e, from);
-      if (lj == kNoPosition) {
-        while (k < n && support_set[k].seq == seq) ++k;
-        break;
-      }
-      floor = lj + 1;
-      out.push_back(Instance{seq, inst.first, lj});
-    }
-  }
-  return out;
-}
-
 SupportSet ComputeSupportSet(const InvertedIndex& index,
                              const Pattern& pattern) {
   if (pattern.empty()) return {};

@@ -16,10 +16,9 @@
 // overload looks it up per run, for one-off growth (supComp, tests); the
 // NodeListTable overload — the DFS hot path — reads the slot the table
 // resolved once for the whole node. The allocating GrowSupportSet is a thin
-// wrapper. GrowSupportSetReference preserves the pre-cursor implementation —
-// a full NextAtOrAfter binary search per query into a freshly allocated set
-// — as the differential-test baseline and the seed arm of
-// bench/ablation_pruning and bm_micro.
+// wrapper. The pre-cursor implementation — a full NextAtOrAfter binary
+// search per query into a freshly allocated set — is a test oracle in
+// tests/core/closure_oracle.h.
 
 #ifndef GSGROW_CORE_INSTANCE_GROWTH_H_
 #define GSGROW_CORE_INSTANCE_GROWTH_H_
@@ -60,13 +59,6 @@ void GrowSupportSetInto(const InvertedIndex& index,
 void GrowSupportSetInto(const NodeListTable& lists,
                         const SupportSet& support_set, uint32_t col,
                         SupportSet& out, uint64_t* next_queries = nullptr);
-
-/// The pre-cursor INSgrow: one full binary search (event slot + position)
-/// per next() query, result freshly allocated. Semantically identical to
-/// GrowSupportSet; kept as the differential-test baseline and as the seed
-/// arm measured by bench/ablation_pruning and bm_micro.
-SupportSet GrowSupportSetReference(const InvertedIndex& index,
-                                   const SupportSet& support_set, EventId e);
 
 /// supComp (Algorithm 1): leftmost support set of `pattern` from scratch.
 /// |result| == sup(pattern). Empty pattern yields an empty set.

@@ -1,4 +1,12 @@
 // Options shared by GSgrow and CloGSgrow.
+//
+// Every field is set by product code (facades, the serve executor, the
+// CLIs), except the three paper ablation switches (candidate list,
+// LBCheck, insert filter): only bench/ablation_pruning flips those, to
+// reproduce the paper's pruning study. They change the work done, never
+// the output. The closure check itself
+// has one implementation (DESIGN.md §5); its pre-memoization seed version
+// is a test oracle, not an option.
 
 #ifndef GSGROW_CORE_MINER_OPTIONS_H_
 #define GSGROW_CORE_MINER_OPTIONS_H_
@@ -123,7 +131,8 @@ struct MinerOptions {
   /// gaps) ignore this and always rescan the alphabet.
   bool use_candidate_list = true;
 
-  // --- CloGSgrow-only switches (ignored by GSgrow) ---
+  // --- CloGSgrow-only switches (ignored by GSgrow): the paper's own
+  // pruning strategies, kept for its ablation ---
 
   /// Landmark border checking (Theorem 5): prune entire DFS subtrees below
   /// patterns that provably generate no closed pattern. Disable only for
@@ -134,15 +143,6 @@ struct MinerOptions {
   /// per-sequence-count condition (see DESIGN.md §1). Disable only for
   /// ablation studies; the output is identical either way.
   bool use_insert_candidate_filter = true;
-
-  /// Memoized closure-check hot path (DESIGN.md §5): lazily built,
-  /// arena-backed restricted prefix sets shared across gaps and candidates,
-  /// a per-sequence-count early exit before any regrow, and double-buffered
-  /// cursor-based INSgrow. When false, the pre-memoization path (eager
-  /// restricted sets, allocating binary-search INSgrow per regrow step) is
-  /// used instead. Disable only for ablation studies; the output — and the
-  /// DFS shape (nodes_visited) — is identical either way.
-  bool use_memoized_closure = true;
 };
 
 /// True when the restriction list admits `e` (empty list allows

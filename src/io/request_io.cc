@@ -238,7 +238,6 @@ void CanonicalizeMineRequest(MineRequest* request) {
   options.use_candidate_list = true;
   options.use_landmark_border_pruning = true;
   options.use_insert_candidate_filter = true;
-  options.use_memoized_closure = true;
   request->topk_support_floor_hint = 0;
 
   // One restriction, one spelling: names sorted + deduplicated; a name

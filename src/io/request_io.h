@@ -50,13 +50,6 @@
 
 namespace gsgrow {
 
-/// Ceiling on a request's worker count (mine/topk threads=N, run
-/// threads=N). Each worker is an OS thread, so an unchecked value lets one
-/// protocol line ask for any number of threads; larger values are rejected
-/// at parse time, before any executor starts. threads=0 (one per hardware
-/// thread) stays accepted.
-inline constexpr uint64_t kMaxRequestThreads = 256;
-
 /// One parsed protocol line.
 struct ServeCommand {
   enum class Verb {

@@ -476,9 +476,36 @@ void MiningService::RecordRequestTrace(obs::RequestTrace trace) {
   traces_.Record(std::move(trace));
 }
 
+Status ValidateMineRequest(const MineRequest& request) {
+  if (request.miner != MineRequest::Miner::kTopK &&
+      request.options.min_support < 1) {
+    return Status::InvalidArgument("min_support must be >= 1");
+  }
+  if (request.miner == MineRequest::Miner::kTopK && request.k < 1) {
+    return Status::InvalidArgument("k must be >= 1");
+  }
+  if (request.miner == MineRequest::Miner::kGapConstrained &&
+      request.gap.min_gap > request.gap.max_gap) {
+    return Status::InvalidArgument("min_gap must be <= max_gap");
+  }
+  if (request.options.num_threads > kMaxRequestThreads) {
+    return Status::InvalidArgument("num_threads must be <= " +
+                                   std::to_string(kMaxRequestThreads));
+  }
+  return Status::OK();
+}
+
 MineResponse MiningService::ExecuteCached(const ServiceSnapshot& snapshot,
                                           const MineRequest& request,
                                           obs::RequestTrace* trace) {
+  // Admission comes before canonicalization: the canonical form strips
+  // num_threads, so a cache hit must not let an over-limit request through.
+  if (Status status = ValidateMineRequest(request); !status.ok()) {
+    MineResponse response;
+    response.epoch = snapshot.epoch;
+    response.status = std::move(status);
+    return response;
+  }
   if (cache_ == nullptr || !CacheableRequest(request)) {
     return ExecuteMineStage(snapshot, request, trace);
   }
@@ -524,20 +551,8 @@ MineResponse MiningService::ExecuteOn(const ServiceSnapshot& snapshot,
                                       const MineRequest& request) {
   MineResponse response;
   response.epoch = snapshot.epoch;
-  if (request.miner != MineRequest::Miner::kTopK &&
-      request.options.min_support < 1) {
-    response.status = Status::InvalidArgument("min_support must be >= 1");
-    return response;
-  }
-  if (request.miner == MineRequest::Miner::kTopK && request.k < 1) {
-    response.status = Status::InvalidArgument("k must be >= 1");
-    return response;
-  }
-  if (request.miner == MineRequest::Miner::kGapConstrained &&
-      request.gap.min_gap > request.gap.max_gap) {
-    response.status = Status::InvalidArgument("min_gap must be <= max_gap");
-    return response;
-  }
+  response.status = ValidateMineRequest(request);
+  if (!response.status.ok()) return response;
 
   MinerOptions options = request.options;
   if (!ResolveRequestAlphabet(request, *snapshot.db,

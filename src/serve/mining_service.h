@@ -83,6 +83,12 @@ struct RecoveryInfo {
   double recover_seconds = 0.0;
 };
 
+/// The service's admission check, run on every request before the cache
+/// probe and again by ExecuteOn: min_support >= 1 (except top-K), k >= 1
+/// (top-K), min_gap <= max_gap (gap-constrained) and num_threads <=
+/// kMaxRequestThreads. InvalidArgument names the first failed condition.
+Status ValidateMineRequest(const MineRequest& request);
+
 class MiningService {
  public:
   MiningService() : MiningService(ResultCacheOptions{}) {}
@@ -96,7 +102,8 @@ class MiningService {
                    : std::make_unique<ResultCache>(cache_options)) {}
 
   /// Same as above. IndexBuildOptions is empty (the index has one layout);
-  /// this form stays for callers that still pass it.
+  /// the benchmark driver (perfbench/src/phases.cc) still builds the
+  /// service this way.
   explicit MiningService(const IndexBuildOptions& /*index_options*/,
                          const ResultCacheOptions& cache_options = {})
       : MiningService(cache_options) {}

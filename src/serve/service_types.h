@@ -24,6 +24,15 @@
 
 namespace gsgrow {
 
+/// Ceiling on a request's worker count (mine/topk threads=N, run
+/// threads=N, MinerOptions::num_threads of a programmatic request). Each
+/// worker is an OS thread, so an unchecked value lets one request ask for
+/// any number of threads. The protocol parser rejects larger values before
+/// any executor starts, and ValidateMineRequest (serve/mining_service.h)
+/// rejects them for every request the service executes. 0 (one per
+/// hardware thread) stays accepted.
+inline constexpr uint64_t kMaxRequestThreads = 256;
+
 /// One typed mining query.
 struct MineRequest {
   enum class Miner {

@@ -41,14 +41,18 @@ int64_t Flags::GetInt(const std::string& name, int64_t default_value) const {
   auto it = values_.find(name);
   if (it == values_.end()) return default_value;
   int64_t v;
-  return ParseInt64(it->second, &v) ? v : default_value;
+  if (ParseInt64(it->second, &v)) return v;
+  NoteUnparsable(name, "an integer");
+  return default_value;
 }
 
 double Flags::GetDouble(const std::string& name, double default_value) const {
   auto it = values_.find(name);
   if (it == values_.end()) return default_value;
   double v;
-  return ParseDouble(it->second, &v) ? v : default_value;
+  if (ParseDouble(it->second, &v)) return v;
+  NoteUnparsable(name, "a number");
+  return default_value;
 }
 
 bool Flags::GetBool(const std::string& name, bool default_value) const {
@@ -57,7 +61,18 @@ bool Flags::GetBool(const std::string& name, bool default_value) const {
   const std::string& v = it->second;
   if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
   if (v == "false" || v == "0" || v == "no" || v == "off") return false;
+  NoteUnparsable(name, "true|false|1|0|yes|no|on|off");
   return default_value;
+}
+
+Status Flags::CheckParsed() const { return unparsable_; }
+
+void Flags::NoteUnparsable(const std::string& name,
+                           const char* expected) const {
+  if (!unparsable_.ok()) return;
+  unparsable_ = Status::InvalidArgument("bad value '" + values_.at(name) +
+                                        "' for --" + name + " (expected " +
+                                        expected + ")");
 }
 
 double EnvDouble(const char* name, double default_value) {

@@ -11,6 +11,7 @@
 #include "gtest/gtest.h"
 
 #include "core/clogsgrow.h"
+#include "core/closure_oracle.h"
 #include "core/gap_constrained.h"
 #include "core/gsgrow.h"
 #include "core/instance_growth.h"
@@ -39,49 +40,12 @@ SequenceDatabase QuestDatabase(uint64_t seed) {
   return GenerateQuest(params);
 }
 
-// The append-extension oracle: grows every child with the allocating
-// binary-search INSgrow (GrowSupportSetReference), one index lookup per
-// query, never reading the engine's per-node list table.
-class ReferenceExtension {
- public:
-  static constexpr bool kSupportsCandidateList = true;
-
-  explicit ReferenceExtension(const InvertedIndex& index) : index_(&index) {}
-
-  std::vector<EventId> FrequentRoots(uint64_t min_support) const {
-    std::vector<EventId> roots;
-    for (EventId e : index_->present_events()) {
-      if (index_->TotalCount(e) >= min_support) roots.push_back(e);
-    }
-    return roots;
-  }
-
-  GrownChild Root(EventId e) const {
-    GrownChild child;
-    child.set = RootInstances(*index_, e);
-    child.support = child.set.size();
-    return child;
-  }
-
-  void ExtendInto(const GrowthNode& node, EventId e, GrownChild& out) {
-    out.set = GrowSupportSetReference(*index_, node.prefix_sets.back(), e);
-    node.stats.insgrow_calls++;
-    out.support = out.set.size();
-  }
-
-  const InvertedIndex& index() const { return *index_; }
-
- private:
-  const InvertedIndex* index_;
-};
-
-// Closed mining through both oracles: the seed closure path
-// (use_memoized_closure = false) over ReferenceExtension.
+// Closed mining through both oracles of tests/core/closure_oracle.h: the
+// seed closure check over the binary-search append extension.
 MiningResult MineClosedReference(const InvertedIndex& index,
-                                 MinerOptions options) {
-  options.use_memoized_closure = false;
-  ReferenceExtension extension(index);
-  ClosurePruning closure(index, options);
+                                 const MinerOptions& options) {
+  testing::ReferenceExtension extension(index);
+  testing::SeedClosurePruning closure(index, options);
   return GrowthEngine(extension, closure, CollectSink(), options).Run();
 }
 
@@ -247,29 +211,28 @@ void ExpectSameDecisions(const MiningResult& memo, const MiningResult& ref,
 
 // The memoized closure-check hot path (lazy restricted prefixes, fused
 // per-sequence-count early exits, cursor-based regrowth over the per-node
-// list table) must be decision-identical to the seed regrow path: byte-
-// identical closed output in the engine's emission order, and the exact
-// same DFS shape and accounting. The reference arm also swaps the append
-// loop for GrowSupportSetReference, so neither half of it reads the list
-// table.
+// list table) must be decision-identical to the seed closure check of
+// tests/core/closure_oracle.h: byte-identical closed output in the
+// engine's emission order, and the exact same DFS shape and accounting.
+// The oracle arm also grows the append children with
+// GrowSupportSetReference, so neither half of it reads the list table.
 TEST(EngineParity, MemoizedClosureMatchesSeedPath) {
   for (uint64_t seed : {61u, 62u, 63u, 64u, 65u, 66u, 67u, 68u}) {
     SequenceDatabase db = QuestDatabase(seed);
     InvertedIndex index(db);
     for (bool lb_pruning : {true, false}) {
       for (bool insert_filter : {true, false}) {
-        MinerOptions memoized;
-        memoized.min_support = 4 + seed % 3;
-        memoized.max_pattern_length = 6;
-        memoized.use_landmark_border_pruning = lb_pruning;
-        memoized.use_insert_candidate_filter = insert_filter;
-        memoized.use_memoized_closure = true;
+        MinerOptions options;
+        options.min_support = 4 + seed % 3;
+        options.max_pattern_length = 6;
+        options.use_landmark_border_pruning = lb_pruning;
+        options.use_insert_candidate_filter = insert_filter;
         const std::string label =
             "seed=" + std::to_string(seed) +
             " lb=" + std::to_string(lb_pruning) +
             " filter=" + std::to_string(insert_filter);
-        ExpectSameDecisions(MineClosedFrequent(index, memoized),
-                            MineClosedReference(index, memoized), label);
+        ExpectSameDecisions(MineClosedFrequent(index, options),
+                            MineClosedReference(index, options), label);
       }
     }
   }

@@ -2,6 +2,7 @@
 
 #include "gtest/gtest.h"
 
+#include "core/closure_oracle.h"
 #include "core/inverted_index.h"
 #include "core/reference.h"
 #include "core/sequence_database.h"
@@ -10,6 +11,7 @@
 namespace gsgrow {
 namespace {
 
+using testing::GrowSupportSetReference;
 using testing::MakePattern;
 
 TEST(RootInstances, AllOccurrencesInRightShiftOrder) {

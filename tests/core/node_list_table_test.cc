@@ -12,6 +12,7 @@
 
 #include "gtest/gtest.h"
 
+#include "core/closure_oracle.h"
 #include "core/instance_growth.h"
 #include "core/inverted_index.h"
 #include "datagen/models.h"
@@ -19,6 +20,8 @@
 
 namespace gsgrow {
 namespace {
+
+using testing::GrowSupportSetReference;
 
 std::vector<Position> ToVector(std::span<const Position> list) {
   return std::vector<Position>(list.begin(), list.end());

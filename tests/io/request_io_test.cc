@@ -220,7 +220,7 @@ TEST(RequestCanonicalization, ExplicitDefaultsEqualElidedOnes) {
   programmatic.miner = MineRequest::Miner::kClosed;
   programmatic.options.min_support = 2;
   programmatic.options.num_threads = 16;
-  programmatic.options.use_memoized_closure = false;
+  programmatic.options.use_landmark_border_pruning = false;
   programmatic.k = 99;               // top-K only; closed ignores it
   programmatic.min_length = 7;       // top-K only
   programmatic.gap.min_gap = 1;      // gap miner only

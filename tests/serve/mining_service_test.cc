@@ -159,7 +159,47 @@ TEST(MiningService, InvalidRequestsReportStatus) {
   EXPECT_EQ(gap_response.status.code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(gap_response.patterns.empty());
 
+  // The protocol parser's thread ceiling holds for programmatic requests
+  // too, on the cached path and on a direct ExecuteOn.
+  MineRequest bad_threads;
+  bad_threads.options.min_support = 2;
+  bad_threads.options.num_threads = kMaxRequestThreads + 1;
+  EXPECT_EQ(service.Execute(bad_threads).status.code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(MiningService::ExecuteOn(*service.Snapshot(), bad_threads)
+                .status.code(),
+            StatusCode::kInvalidArgument);
+
   EXPECT_FALSE(service.AppendTo(99, {"A"}).ok());
+}
+
+// The cache key strips num_threads (answer-invariant), so admission must
+// run before the probe: an over-limit request identical to a cached one
+// is refused, not answered from the cache.
+TEST(MiningService, ThreadLimitHoldsOnCacheHit) {
+  MiningService service;
+  LoadExample(&service);
+  MineRequest request;
+  request.miner = MineRequest::Miner::kClosed;
+  request.options.min_support = 2;
+  const MineResponse cold = service.Execute(request);
+  ASSERT_TRUE(cold.status.ok());
+  ASSERT_FALSE(cold.patterns.empty());
+  const MineResponse hit = service.Execute(request);
+  ASSERT_TRUE(hit.status.ok());
+  EXPECT_EQ(hit.patterns, cold.patterns);
+
+  request.options.num_threads = kMaxRequestThreads + 1;
+  const MineResponse refused = service.Execute(request);
+  EXPECT_EQ(refused.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(refused.patterns.empty());
+  // At the ceiling the request is admitted and served from the cache.
+  const uint64_t hits = service.Stats().cache_hits;
+  request.options.num_threads = kMaxRequestThreads;
+  const MineResponse at_ceiling = service.Execute(request);
+  ASSERT_TRUE(at_ceiling.status.ok());
+  EXPECT_EQ(at_ceiling.patterns, cold.patterns);
+  EXPECT_EQ(service.Stats().cache_hits, hits + 1);
 }
 
 TEST(MiningService, SnapshotIsolatesFromLaterAppends) {

@@ -49,9 +49,36 @@ TEST(Flags, DefaultsWhenAbsent) {
   EXPECT_FALSE(f.Has("k"));
 }
 
+// An unparsable value still yields the default, but it is recorded:
+// CheckParsed names the first bad flag so a CLI can exit 2 instead of
+// silently running with the default.
 TEST(Flags, DefaultWhenUnparsable) {
-  Flags f = ParseArgs({"--k=abc"});
+  Flags f = ParseArgs({"--k=abc", "--scale=fast", "--x=maybe", "--n=3"});
+  EXPECT_TRUE(f.CheckParsed().ok());  // nothing read yet
+  EXPECT_EQ(f.GetInt("n", 0), 3);
+  EXPECT_TRUE(f.CheckParsed().ok());
   EXPECT_EQ(f.GetInt("k", 9), 9);
+  const Status status = f.CheckParsed();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("--k"), std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find("abc"), std::string::npos)
+      << status.ToString();
+  // Later failures keep the first one.
+  EXPECT_DOUBLE_EQ(f.GetDouble("scale", 1.5), 1.5);
+  EXPECT_TRUE(f.GetBool("x", true));
+  EXPECT_EQ(f.CheckParsed().message(), status.message());
+
+  Flags d = ParseArgs({"--scale=fast"});
+  EXPECT_DOUBLE_EQ(d.GetDouble("scale", 1.0), 1.0);
+  EXPECT_NE(d.CheckParsed().message().find("--scale"), std::string::npos);
+  Flags b = ParseArgs({"--x=maybe"});
+  EXPECT_FALSE(b.GetBool("x", false));
+  EXPECT_NE(b.CheckParsed().message().find("--x"), std::string::npos);
+  // A bare switch read as a number is unparsable too.
+  Flags bare = ParseArgs({"--min_sup"});
+  EXPECT_EQ(bare.GetInt("min_sup", 10), 10);
+  EXPECT_FALSE(bare.CheckParsed().ok());
 }
 
 TEST(Flags, Positional) {

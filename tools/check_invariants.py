@@ -264,6 +264,48 @@ def rule_metric_register_macro(relpath, raw_lines, code_lines):
     return out
 
 
+# A declaration is "<type> [Qualifier::]Name(": a type-like token (word,
+# qualified name or template-id, no spaces), then whitespace or one pointer
+# or reference sigil. Keywords that can precede a call are excluded.
+_NOT_A_TYPE_WORDS = r"(?:return|else|throw|case|co_return|co_await|" \
+                    r"co_yield|new|and|or|not)"
+_ORACLE_NAME = r"(?:\w+::)*(\w+(?:Seed|Reference|Plain))\s*\("
+_ORACLE_DECL_SAME_LINE = re.compile(
+    r"(?:^|[^\w:])(?!" + _NOT_A_TYPE_WORDS + r"\b)"
+    r"\w[\w:<>]*(?:\s*\*+\s*|\s*&\s*|\s+)" + _ORACLE_NAME)
+_ORACLE_DECL_NEXT_LINE = re.compile(r"^\s*" + _ORACLE_NAME)
+_TYPE_TAIL = re.compile(r"[\w>*&]\s*$")
+_NOT_A_TYPE = re.compile(r"\b" + _NOT_A_TYPE_WORDS + r"\s*$")
+
+
+def rule_oracle_outside_src(relpath, raw_lines, code_lines):
+    """ROADMAP aim 2 / DESIGN.md §5: oracles and ablation twins live in
+    core/reference and tests/, not in product code. A function whose name
+    ends in Seed, Reference or Plain — the names the old twins carried —
+    may be declared or defined under src/ only in src/core/reference.{h,cc};
+    anywhere else it is a second implementation of something src/ already
+    does once. Calls are fine (product code may use the reference oracle,
+    e.g. the gap-constrained miner's exact support); only declarations and
+    definitions fire, including a return type on the line above."""
+    del raw_lines
+    out = []
+    prev = ""
+    for ln, line in enumerate(code_lines, 1):
+        m = _ORACLE_DECL_SAME_LINE.search(line)
+        name = m.group(1) if m else None
+        if name is None:
+            m = _ORACLE_DECL_NEXT_LINE.match(line)
+            if m and _TYPE_TAIL.search(prev) and not _NOT_A_TYPE.search(prev):
+                name = m.group(1)
+        if name is not None:
+            out.append((ln, "oracle/twin function '%s' declared outside "
+                            "src/core/reference.{h,cc}; move it to "
+                            "core/reference or tests/" % name))
+        if line.strip():
+            prev = line
+    return out
+
+
 RULES = [
     ("raw-new", rule_raw_new,
      lambda p: _path_under(p, "src/") and p != "src/util/arena.cc"),
@@ -285,6 +327,9 @@ RULES = [
      and p not in ("src/serve/result_cache.h", "src/io/request_io.cc")),
     ("metric-register-macro", rule_metric_register_macro,
      lambda p: _path_under(p, "src/") and not _path_under(p, "src/obs/")),
+    ("oracle-outside-src", rule_oracle_outside_src,
+     lambda p: _path_under(p, "src/")
+     and p not in ("src/core/reference.h", "src/core/reference.cc")),
 ]
 
 RULE_IDS = {rid for rid, _, _ in RULES}
