@@ -132,6 +132,17 @@ std::vector<Query> BuildQueries(const InvertedIndex& index) {
   return queries;
 }
 
+// Events enter a service by name. The appending services ingested the
+// whole corpus dictionary, so these names resolve back to the same ids and
+// answers stay comparable id for id.
+std::vector<std::string> Names(const EventDictionary& dictionary,
+                               const std::vector<EventId>& events) {
+  std::vector<std::string> names;
+  names.reserve(events.size());
+  for (const EventId e : events) names.push_back(dictionary.Name(e));
+  return names;
+}
+
 bool SameAnswers(const MineResponse& a, const MineResponse& b) {
   return a.status.ok() && b.status.ok() && a.patterns == b.patterns;
 }
@@ -337,13 +348,13 @@ int main() {
       std::vector<EventId> extended = streamed[target].events();
       extended.insert(extended.end(), events.begin(), events.end());
       streamed[target] = Sequence(std::move(extended));
-      if (!streaming.AppendIdsTo(target, events).ok()) {
+      if (!streaming.AppendTo(target, Names(db.dictionary(), events)).ok()) {
         std::printf("append failed\n");
         return 1;
       }
     } else {
       streamed.emplace_back(events);
-      if (!streaming.AppendIds(events).ok()) {
+      if (!streaming.Append(Names(db.dictionary(), events)).ok()) {
         std::printf("append failed\n");
         return 1;
       }
@@ -387,7 +398,7 @@ int main() {
   // replays the whole query mix several rounds. The cold service mines
   // every round; the warm one answers repeats from the cache and
   // revalidates the filtered entries across epochs. ---
-  std::vector<EventId> rare_events;
+  std::vector<std::string> rare_events;
   {
     std::vector<std::pair<uint64_t, EventId>> by_count;
     for (EventId e : probe.present_events()) {
@@ -398,7 +409,7 @@ int main() {
     // order as the append payload alphabet.
     for (size_t i = by_count.size() >= 6 ? by_count.size() - 6 : 0;
          i < by_count.size(); ++i) {
-      rare_events.push_back(by_count[i].second);
+      rare_events.push_back(db.dictionary().Name(by_count[i].second));
     }
   }
   MiningService warm_service;  // default: 64 MB result cache
@@ -423,8 +434,8 @@ int main() {
   bool cache_identical = true;
   for (int step = 0; step < kEpochSteps; ++step) {
     if (step > 0 && !rare_events.empty()) {
-      if (!warm_service.AppendIds(rare_events).ok() ||
-          !cold_service.AppendIds(rare_events).ok()) {
+      if (!warm_service.Append(rare_events).ok() ||
+          !cold_service.Append(rare_events).ok()) {
         std::printf("cache arm append failed\n");
         return 1;
       }
@@ -529,11 +540,13 @@ int main() {
     for (size_t i = half; i < db.size(); ++i) {
       const std::vector<EventId>& events = db[static_cast<SeqId>(i)].events();
       if (i % 4 == 0 && live > 0) {
-        if (!svc.AppendIdsTo(static_cast<SeqId>(i % live), events).ok()) {
+        if (!svc.AppendTo(static_cast<SeqId>(i % live),
+                          Names(db.dictionary(), events))
+                 .ok()) {
           return false;
         }
       } else {
-        if (!svc.AppendIds(events).ok()) return false;
+        if (!svc.Append(Names(db.dictionary(), events)).ok()) return false;
         ++live;
       }
     }

@@ -67,6 +67,22 @@ std::vector<PatternRecord> MergeCollectedPatterns(
 std::vector<PatternRecord> MergeTopKPatterns(
     std::vector<std::vector<PatternRecord>> shards, size_t k);
 
+/// Runs `fn(w)` for every worker w in [0, n): inline on the calling thread
+/// when n == 1, otherwise on n spawned threads, all joined before
+/// returning. The one place under src/ that starts threads
+/// (tools/check_invariants.py, rule `thread-spawn`).
+template <typename WorkerFn>
+void RunWorkers(size_t n, WorkerFn fn) {
+  if (n == 1) {
+    fn(size_t{0});
+    return;
+  }
+  std::vector<std::thread> threads;
+  threads.reserve(n);
+  for (size_t w = 0; w < n; ++w) threads.emplace_back([&fn, w] { fn(w); });
+  for (std::thread& thread : threads) thread.join();
+}
+
 /// Runs `make_engine(state)` once per worker (options.num_threads workers,
 /// resolved via ResolveNumThreads) against one SharedRunState, then merges
 /// patterns with `merge_patterns(shards)` and stats as described above.
@@ -84,19 +100,9 @@ MiningResult MineSharded(const MinerOptions& options,
   WallTimer timer;
   SharedRunState state(options);
   std::vector<MiningResult> results(num_threads);
-  if (num_threads == 1) {
-    results[0] = make_engine(state).Run();
-  } else {
-    std::vector<std::thread> workers;
-    workers.reserve(num_threads);
-    for (size_t w = 0; w < num_threads; ++w) {
-      workers.emplace_back(
-          [&make_engine, &state, &results, w] {
-            results[w] = make_engine(state).Run();
-          });
-    }
-    for (std::thread& worker : workers) worker.join();
-  }
+  RunWorkers(num_threads, [&make_engine, &state, &results](size_t w) {
+    results[w] = make_engine(state).Run();
+  });
 
   MiningResult merged;
   std::vector<std::vector<PatternRecord>> shards;

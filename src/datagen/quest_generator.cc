@@ -21,10 +21,16 @@ std::string QuestParams::Name() const {
     }
     return std::string(buf);
   };
-  std::string name = "D" + thousands(num_sequences);
-  name += "C" + std::to_string(static_cast<int>(avg_sequence_length));
-  name += "N" + thousands(num_events);
-  name += "S" + std::to_string(static_cast<int>(avg_pattern_length));
+  // Appended piece by piece: `"C" + std::to_string(...)` trips a false gcc
+  // 12 -O3 -Wrestrict report.
+  std::string name = "D";
+  name += thousands(num_sequences);
+  name += 'C';
+  name += std::to_string(static_cast<int>(avg_sequence_length));
+  name += 'N';
+  name += thousands(num_events);
+  name += 'S';
+  name += std::to_string(static_cast<int>(avg_pattern_length));
   return name;
 }
 

@@ -35,8 +35,13 @@ std::string FormatStatsReport(const std::string& name,
   TextTable table({"length", "sequences"});
   for (size_t b = 0; b < buckets.size(); ++b) {
     if (buckets[b] == 0) continue;
-    std::string range = "[" + std::to_string(1u << b) + "," +
-                        std::to_string(1u << (b + 1)) + ")";
+    // Appended piece by piece: `"[" + std::to_string(...)` trips a false
+    // gcc 12 -O3 -Wrestrict report.
+    std::string range = "[";
+    range += std::to_string(1u << b);
+    range += ',';
+    range += std::to_string(1u << (b + 1));
+    range += ')';
     table.AddRow({range, WithThousandsSeparators(buckets[b])});
   }
   out += table.ToString();

@@ -34,27 +34,12 @@ void AppendableDatabase::AppendToSequence(SeqId seq,
   // Status at the MiningService layer before this store is touched.
   GSGROW_CHECK_MSG(seq < sequences_.size(), "append to unknown sequence");
   std::vector<EventId>& target = sequences_[seq];
-  // invariant: pre-validated by MiningService::CheckPositionSpace.
+  // invariant: pre-validated by MiningService::ApplyLocked.
   GSGROW_CHECK_MSG(target.size() + events.size() <=
                        static_cast<size_t>(kNoPosition),
                    "sequence position space exhausted");
   target.insert(target.end(), events.begin(), events.end());
   total_events_ += events.size();
-  cached_.reset();
-}
-
-void AppendableDatabase::Ingest(const SequenceDatabase& db) {
-  writer_lock_.AssertHeld();
-  // invariant: MiningService::Ingest returns InvalidArgument on a non-empty
-  // service; reaching here non-empty is a caller programming error.
-  GSGROW_CHECK_MSG(sequences_.empty() && dictionary_.size() == 0,
-                   "Ingest requires an empty store (ids are preserved)");
-  sequences_.reserve(db.size());
-  for (const Sequence& s : db.sequences()) {
-    sequences_.push_back(s.events());
-    total_events_ += s.length();
-  }
-  dictionary_ = db.dictionary();
   cached_.reset();
 }
 

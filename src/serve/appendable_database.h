@@ -37,22 +37,17 @@ class AppendableDatabase {
   AppendableDatabase() = default;
 
   /// Appends a new sequence of raw event ids; returns its SeqId. Name
-  /// resolution lives one layer up: MiningService interns names once and
-  /// feeds the same id vector to this store AND the incremental index, so
-  /// there is exactly one interning path.
+  /// resolution lives one layer up: MiningService::ApplyLocked interns
+  /// names into dictionary() and feeds the same id vector to this store AND
+  /// the incremental index — the one mutation path, bulk Ingest included,
+  /// so the dictionary is the only source of event ids.
   SeqId AddSequence(std::span<const EventId> events);
 
   /// Appends events to the END of an existing sequence. `seq` must be a
   /// valid id returned by an earlier AddSequence.
   void AppendToSequence(SeqId seq, std::span<const EventId> events);
 
-  /// Bulk ingestion: every sequence of `db` is appended (ids preserved
-  /// relative to the current size); its dictionary must be empty or equal
-  /// to ours — in practice this is called once, on an empty store, to give
-  /// the service the same load path as batch tools (mine_cli).
-  void Ingest(const SequenceDatabase& db);
-
-  /// Writer-side dictionary (interning new event names).
+  /// Writer-side dictionary: the one authority over event ids.
   EventDictionary& dictionary() {
     writer_lock_.AssertHeld();
     return dictionary_;

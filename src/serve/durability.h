@@ -11,7 +11,8 @@
 // WAL record types — every serving mutation, plus the epoch trajectory:
 //
 //   kIntern        (id, name)          a dictionary entry came into being
-//                                      (bulk Ingest only)
+//                                      (bulk Ingest only; synthesized
+//                                      "e<id>" names included)
 //   kAddSequence   (seq, fresh, events)  AppendSequence; seq pins the id
 //                                      the replay must reassign
 //   kAppendTo      (seq, fresh, events)  AppendToSequence
@@ -24,7 +25,15 @@
 // whole mutations, never leave a dictionary entry without its sequence.
 // kIntern exists for Ingest, whose bulk dictionary does not belong to any
 // single sequence; a crash mid-ingest legitimately recovers a prefix of
-// the load.
+// the load. An id-only corpus (SPMF, generators) names no events, so
+// Ingest logs the "e<id>" name of every id up to the largest one it uses:
+// the dictionary names every id in the log, and a later append of "e5"
+// resolves to id 5.
+//
+// Replay feeds each sequence record through the service's one mutation
+// primitive, so it re-runs every append check (sequence order, position
+// space, reserved event id, dense fresh names); a record that fails one is
+// kCorruption, like a checkpoint sequence that does.
 //
 // Checkpoint pages: one kMeta page first (version, epoch, wal segment,
 // counts), then kDict pages (contiguous runs of names) and kSequences

@@ -27,13 +27,13 @@ void IncrementalInvertedIndex::AppendToSequence(
   // invariant: unknown ids / position overflow / reserved event ids are all
   // rejected with a Status at the MiningService layer first.
   GSGROW_CHECK_MSG(seq < seqs_.size(), "append to unknown sequence");
-  // invariant: pre-validated by MiningService::CheckPositionSpace.
+  // invariant: pre-validated by MiningService::ApplyLocked.
   GSGROW_CHECK_MSG(seqs_[seq].length + events.size() <=
                        static_cast<size_t>(kNoPosition),
                    "sequence position space exhausted");
   if (!events.empty()) changed_ = true;
   for (const EventId e : events) {
-    // invariant: pre-validated by MiningService::CheckEventIds.
+    // invariant: pre-validated by MiningService::ApplyLocked.
     GSGROW_CHECK_MSG(e != kNoEvent, "reserved event id");
     const Position p = seqs_[seq].length;
     Record(seq, e, p);

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
-#include <thread>
 #include <utility>
 
 #include "core/clogsgrow.h"
@@ -85,29 +84,6 @@ std::string_view MinerLabel(MineRequest::Miner miner) {
   return "mine";
 }
 
-// Position-space guard shared by the append paths: validated up front so
-// oversized client input yields Status(kOutOfRange), not a GSGROW_CHECK
-// abort deep in the index (which still holds the same bound as an
-// invariant).
-Status CheckPositionSpace(size_t current_length, size_t appended) {
-  if (current_length + appended > static_cast<size_t>(kNoPosition)) {
-    return Status::OutOfRange("sequence position space exhausted (" +
-                              std::to_string(current_length) + " + " +
-                              std::to_string(appended) + " events)");
-  }
-  return Status::OK();
-}
-
-Status CheckEventIds(std::span<const EventId> events) {
-  for (const EventId e : events) {
-    if (e == kNoEvent) {
-      return Status::InvalidArgument("reserved event id " +
-                                     std::to_string(kNoEvent));
-    }
-  }
-  return Status::OK();
-}
-
 // A request is cacheable when its answer is a pure function of
 // (canonical request, corpus): a finite time budget can truncate
 // nondeterministically (wall clock), and a count-only run carries no
@@ -124,6 +100,15 @@ bool CacheableRequest(const MineRequest& request) {
 // guaranteed, and errors are cheap to recompute.
 bool CacheableResponse(const MineResponse& response) {
   return response.status.ok() && !response.stats.truncated;
+}
+
+// Stamps what a finished request produced onto its trace: the one helper
+// behind Execute and the ExecuteBatch workers.
+void StampTrace(const MineResponse& response, obs::RequestTrace* trace) {
+  trace->epoch = response.epoch;
+  trace->patterns = response.patterns.size();
+  trace->ok = response.status.ok();
+  trace->dfs = ExtractDfsCounters(response.stats);
 }
 
 }  // namespace
@@ -231,96 +216,96 @@ void MiningService::ResolveIdsLocked(
   }
 }
 
-Status MiningService::LogMutationLocked(
-    const std::vector<std::pair<EventId, const std::string*>>& fresh,
-    serve::LogRecordType type, SeqId seq, std::span<const EventId> events) {
-  if (!durable_) return Status::OK();
-  // One mutation = one record: the interned names ride inside, so the CRC
-  // makes the whole mutation atomic against crashes.
-  serve::EncodeSequenceRecord(seq, fresh, events, &scratch_payload_);
-  GSGROW_RETURN_NOT_OK(LogWalRecordLocked(type, scratch_payload_));
-  return Status::OK();
-}
-
 // ---------------------------------------------------------------------------
-// Appends. Shape shared by all four paths: validate → log → mutate → sync.
-// The record hits the log (and per policy, the disk) before any in-memory
-// state changes; a WAL failure leaves memory untouched. A failed SYNC after
+// Mutations. Every path — Append, AppendTo, Ingest, WAL replay and the
+// checkpoint load — goes through ApplyLocked: validate → log (live paths
+// only) → mutate. The record hits the log before any in-memory state
+// changes, so a WAL failure leaves memory untouched. A failed SYNC after
 // the mutation returns the error and sticks — the service refuses further
 // writes rather than letting memory and log diverge.
 
-Result<SeqId> MiningService::Append(const std::vector<std::string>& names,
-                                    obs::RequestTrace* trace) {
-  MutexLock lock(&mutex_);
-  GSGROW_RETURN_NOT_OK(CheckPositionSpace(0, names.size()));
-  if (db_.size() >= static_cast<size_t>(kNoPosition)) {
+Status MiningService::ApplyLocked(
+    serve::LogRecordType type, SeqId seq, std::span<const EventId> ids,
+    std::span<const std::pair<EventId, const std::string*>> fresh,
+    uint64_t* log_us) {
+  // 1. Validate: bad client input and damaged log bytes alike come back as
+  // a Status, before anything is logged or mutated.
+  const bool add = type == serve::LogRecordType::kAddSequence;
+  if (add && seq != db_.size()) {
+    return Status::InvalidArgument("new sequence id " + std::to_string(seq) +
+                                   " out of order");
+  }
+  if (add && db_.size() >= static_cast<size_t>(kNoPosition)) {
     return Status::OutOfRange("sequence id space exhausted");
   }
+  if (!add && seq >= db_.size()) {
+    return Status::NotFound("unknown sequence id " + std::to_string(seq));
+  }
+  const size_t length = add ? 0 : db_.SequenceLength(seq);
+  if (length + ids.size() > static_cast<size_t>(kNoPosition)) {
+    return Status::OutOfRange("sequence position space exhausted (" +
+                              std::to_string(length) + " + " +
+                              std::to_string(ids.size()) + " events)");
+  }
+  if (std::find(ids.begin(), ids.end(), kNoEvent) != ids.end()) {
+    return Status::InvalidArgument("reserved event id " +
+                                   std::to_string(kNoEvent));
+  }
+  const EventDictionary& dictionary = db_.dictionary();
+  for (size_t i = 0; i < fresh.size(); ++i) {
+    const std::string& name = *fresh[i].second;
+    const auto same_name = [&name](const auto& earlier) {
+      return *earlier.second == name;
+    };
+    if (fresh[i].first != dictionary.size() + i ||
+        dictionary.Lookup(name) != kNoEvent ||
+        std::any_of(fresh.begin(), fresh.begin() + i, same_name)) {
+      return Status::InvalidArgument("fresh name '" + name +
+                                     "' is not the next new event id");
+    }
+  }
+
+  // 2. Log. One mutation = one record: the interned names ride inside, so
+  // the CRC makes the whole mutation atomic against crashes.
+  if (log_us != nullptr && durable_) {
+    const WallTimer timer;
+    serve::EncodeSequenceRecord(seq, fresh, ids, &scratch_payload_);
+    GSGROW_RETURN_NOT_OK(LogWalRecordLocked(type, scratch_payload_));
+    *log_us += timer.ElapsedMicros();
+  }
+
+  // 3. Mutate: the dictionary, then the store and the index in lockstep.
+  for (const auto& [id, name] : fresh) {
+    const EventId interned = db_.dictionary().Intern(*name);
+    // invariant: step 1 checked the fresh ids dense and the names new,
+    // under this same lock.
+    GSGROW_CHECK(interned == id);
+  }
+  if (add) {
+    const SeqId db_seq = db_.AddSequence(ids);
+    const SeqId index_seq = index_.AddSequence(ids);
+    // invariant: store and index are fed identical inputs under one lock.
+    GSGROW_CHECK(db_seq == seq && index_seq == seq);
+  } else {
+    db_.AppendToSequence(seq, ids);
+    index_.AppendToSequence(seq, ids);
+  }
+  snapshot_cache_.reset();
+  ++appends_;
+  return Status::OK();
+}
+
+Status MiningService::AppendLocked(serve::LogRecordType type, SeqId seq,
+                                   const std::vector<std::string>& names,
+                                   obs::RequestTrace* trace) {
   std::vector<EventId> ids;
   std::vector<std::pair<EventId, const std::string*>> fresh;
   ResolveIdsLocked(names, &ids, &fresh);
-  const SeqId seq = static_cast<SeqId>(db_.size());
   // The kWalSync span covers the mutation's whole durability cost: record
   // encode + log append, plus the policy-driven sync after the mutation
   // (the in-memory mutate between them is excluded on purpose).
   uint64_t wal_us = 0;
-  {
-    const WallTimer timer;
-    GSGROW_RETURN_NOT_OK(LogMutationLocked(
-        fresh, serve::LogRecordType::kAddSequence, seq, ids));
-    wal_us += timer.ElapsedMicros();
-  }
-  for (const auto& [id, name] : fresh) {
-    const EventId interned = db_.dictionary().Intern(*name);
-    // invariant: ResolveIdsLocked predicted dense first-use ids under this
-    // same lock; a mismatch is a bug in our own id assignment, not input.
-    GSGROW_CHECK(interned == id);
-  }
-  const SeqId db_seq = db_.AddSequence(ids);
-  const SeqId index_seq = index_.AddSequence(ids);
-  // invariant: store and index are fed identical inputs under one lock.
-  GSGROW_CHECK(seq == db_seq && seq == index_seq);
-  snapshot_cache_.reset();
-  ++appends_;
-  {
-    const WallTimer timer;
-    const Status sync = MaybeSyncWalLocked(false);
-    wal_us += timer.ElapsedMicros();
-    if (trace != nullptr) trace->AddStage(obs::Stage::kWalSync, wal_us);
-    if (durable_) StageHistogram(obs::Stage::kWalSync)->Record(wal_us);
-    GSGROW_RETURN_NOT_OK(sync);
-  }
-  return seq;
-}
-
-Status MiningService::AppendTo(SeqId seq,
-                               const std::vector<std::string>& names,
-                               obs::RequestTrace* trace) {
-  MutexLock lock(&mutex_);
-  if (seq >= db_.size()) {
-    return Status::NotFound("unknown sequence id " + std::to_string(seq));
-  }
-  GSGROW_RETURN_NOT_OK(
-      CheckPositionSpace(db_.SequenceLength(seq), names.size()));
-  std::vector<EventId> ids;
-  std::vector<std::pair<EventId, const std::string*>> fresh;
-  ResolveIdsLocked(names, &ids, &fresh);
-  uint64_t wal_us = 0;
-  {
-    const WallTimer timer;
-    GSGROW_RETURN_NOT_OK(
-        LogMutationLocked(fresh, serve::LogRecordType::kAppendTo, seq, ids));
-    wal_us += timer.ElapsedMicros();
-  }
-  for (const auto& [id, name] : fresh) {
-    const EventId interned = db_.dictionary().Intern(*name);
-    // invariant: same dense-id prediction as Append (one lock, one path).
-    GSGROW_CHECK(interned == id);
-  }
-  db_.AppendToSequence(seq, ids);
-  index_.AppendToSequence(seq, ids);
-  snapshot_cache_.reset();
-  ++appends_;
+  GSGROW_RETURN_NOT_OK(ApplyLocked(type, seq, ids, fresh, &wal_us));
   const WallTimer timer;
   const Status sync = MaybeSyncWalLocked(false);
   wal_us += timer.ElapsedMicros();
@@ -329,71 +314,63 @@ Status MiningService::AppendTo(SeqId seq,
   return sync;
 }
 
-Result<SeqId> MiningService::AppendIds(std::span<const EventId> events) {
+Result<SeqId> MiningService::Append(const std::vector<std::string>& names,
+                                    obs::RequestTrace* trace) {
   MutexLock lock(&mutex_);
-  GSGROW_RETURN_NOT_OK(CheckEventIds(events));
-  GSGROW_RETURN_NOT_OK(CheckPositionSpace(0, events.size()));
-  if (db_.size() >= static_cast<size_t>(kNoPosition)) {
-    return Status::OutOfRange("sequence id space exhausted");
-  }
   const SeqId seq = static_cast<SeqId>(db_.size());
   GSGROW_RETURN_NOT_OK(
-      LogMutationLocked({}, serve::LogRecordType::kAddSequence, seq, events));
-  const SeqId db_seq = db_.AddSequence(events);
-  const SeqId index_seq = index_.AddSequence(events);
-  // invariant: store and index are fed identical inputs under one lock.
-  GSGROW_CHECK(seq == db_seq && seq == index_seq);
-  snapshot_cache_.reset();
-  ++appends_;
-  GSGROW_RETURN_NOT_OK(MaybeSyncWalLocked(false));
+      AppendLocked(serve::LogRecordType::kAddSequence, seq, names, trace));
   return seq;
 }
 
-Status MiningService::AppendIdsTo(SeqId seq, std::span<const EventId> events) {
+Status MiningService::AppendTo(SeqId seq,
+                               const std::vector<std::string>& names,
+                               obs::RequestTrace* trace) {
   MutexLock lock(&mutex_);
-  if (seq >= db_.size()) {
-    return Status::NotFound("unknown sequence id " + std::to_string(seq));
-  }
-  GSGROW_RETURN_NOT_OK(CheckEventIds(events));
-  GSGROW_RETURN_NOT_OK(
-      CheckPositionSpace(db_.SequenceLength(seq), events.size()));
-  GSGROW_RETURN_NOT_OK(
-      LogMutationLocked({}, serve::LogRecordType::kAppendTo, seq, events));
-  db_.AppendToSequence(seq, events);
-  index_.AppendToSequence(seq, events);
-  snapshot_cache_.reset();
-  ++appends_;
-  return MaybeSyncWalLocked(false);
+  return AppendLocked(serve::LogRecordType::kAppendTo, seq, names, trace);
 }
 
 Status MiningService::Ingest(const SequenceDatabase& db) {
   MutexLock lock(&mutex_);
-  if (db_.size() != 0) {
+  if (db_.size() != 0 || db_.dictionary().size() != 0) {
     return Status::InvalidArgument(
         "Ingest requires an empty service (ids are preserved)");
   }
-  if (durable_) {
-    // A bulk load is one logical commit: log the whole dictionary and every
-    // sequence, then force a sync at the boundary.
-    for (EventId id = 0; id < db.dictionary().size(); ++id) {
-      serve::EncodeInternRecord(id, db.dictionary().Name(id),
-                                &scratch_payload_);
+  // One alphabet (DESIGN.md §8): the service dictionary names every id the
+  // corpus uses — with the corpus dictionary's name, or with the "e<id>"
+  // the corpus prints for an id it does not name (SPMF and generator
+  // corpora), so appending that name later resolves to the same id. Ids
+  // are dense, so this is O(max id), like the index's per-event arrays.
+  const EventDictionary& source = db.dictionary();
+  const EventId alphabet =
+      std::max(db.AlphabetSize(), static_cast<EventId>(source.size()));
+  for (EventId id = static_cast<EventId>(source.size()); id < alphabet; ++id) {
+    if (source.Lookup(source.Name(id)) != kNoEvent) {
+      return Status::InvalidArgument("event id " + std::to_string(id) +
+                                     " prints as a name the corpus gives "
+                                     "another id");
+    }
+  }
+  // A bulk load is one logical commit: log the whole dictionary and every
+  // sequence, then force a sync at the boundary.
+  for (EventId id = 0; id < alphabet; ++id) {
+    const std::string name = source.Name(id);
+    if (durable_) {
+      serve::EncodeInternRecord(id, name, &scratch_payload_);
       GSGROW_RETURN_NOT_OK(
           LogWalRecordLocked(serve::LogRecordType::kIntern, scratch_payload_));
     }
-    for (SeqId seq = 0; seq < db.size(); ++seq) {
-      serve::EncodeSequenceRecord(seq, {}, db.sequences()[seq].events(),
-                                  &scratch_payload_);
-      GSGROW_RETURN_NOT_OK(LogWalRecordLocked(
-          serve::LogRecordType::kAddSequence, scratch_payload_));
-    }
+    const EventId interned = db_.dictionary().Intern(name);
+    // invariant: the dictionary started empty and the names are distinct
+    // (the source's own, plus the synthesized ones checked above).
+    GSGROW_CHECK(interned == id);
   }
-  db_.Ingest(db);
-  for (const Sequence& s : db.sequences()) {
-    index_.AddSequence(s.events());
+  uint64_t log_us = 0;  // a bulk load records no per-mutation span
+  for (size_t i = 0; i < db.size(); ++i) {
+    const SeqId seq = static_cast<SeqId>(i);
+    GSGROW_RETURN_NOT_OK(ApplyLocked(serve::LogRecordType::kAddSequence, seq,
+                                     db[seq].events(), {}, &log_us));
   }
-  snapshot_cache_.reset();
-  appends_ += db.size();
   return MaybeSyncWalLocked(/*force=*/true);
 }
 
@@ -463,10 +440,7 @@ MineResponse MiningService::Execute(
     *snapshot_out = Snapshot();
   }
   MineResponse response = ExecuteCached(**snapshot_out, request, trace);
-  trace->epoch = response.epoch;
-  trace->patterns = response.patterns.size();
-  trace->ok = response.status.ok();
-  trace->dfs = ExtractDfsCounters(response.stats);
+  StampTrace(response, trace);
   return response;
 }
 
@@ -620,42 +594,33 @@ std::vector<MineResponse> MiningService::ExecuteBatch(
     const WallTimer total;
     MineResponse response = ExecuteCached(*snapshot, request, &trace);
     trace.total_us = total.ElapsedMicros();
-    trace.epoch = response.epoch;
-    trace.patterns = response.patterns.size();
-    trace.ok = response.status.ok();
-    trace.dfs = ExtractDfsCounters(response.stats);
+    StampTrace(response, &trace);
     RecordRequestTrace(std::move(trace));
     return response;
   };
-  if (workers <= 1) {
-    for (size_t i = 0; i < requests.size(); ++i) {
-      responses[i] = run_one(requests[i]);
-    }
-    return responses;
-  }
   // Request-level parallelism over the shared snapshot: workers claim the
-  // next unexecuted request (PR-3 dispenser idiom). Each request is forced
-  // single-threaded so the pool, not the per-request option, owns the
-  // hardware — responses are a pure function of (snapshot, request), so the
-  // batch output is identical at any worker count. The cached path keeps
-  // that purity: a hit returns the identical bytes a cold mine would, and
-  // racing misses on one key insert-if-absent (thread count is stripped
-  // from the canonical key, so both thread policies share entries).
+  // next unexecuted request (PR-3 dispenser idiom). With more than one
+  // worker each request is forced single-threaded so the pool, not the
+  // per-request option, owns the hardware — responses are a pure function
+  // of (snapshot, request), so the batch output is identical at any worker
+  // count. The cached path keeps that purity: a hit returns the identical
+  // bytes a cold mine would, and racing misses on one key insert-if-absent
+  // (thread count is stripped from the canonical key, so both thread
+  // policies share entries).
   std::atomic<size_t> next{0};
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&] {
-      for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
-           i < requests.size();
-           i = next.fetch_add(1, std::memory_order_relaxed)) {
-        MineRequest request = requests[i];
-        request.options.num_threads = 1;
-        responses[i] = run_one(request);
+  RunWorkers(workers, [&](size_t /*worker*/) {
+    for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
+         i < requests.size();
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      if (workers == 1) {
+        responses[i] = run_one(requests[i]);
+        continue;
       }
-    });
-  }
-  for (std::thread& worker : pool) worker.join();
+      MineRequest request = requests[i];
+      request.options.num_threads = 1;
+      responses[i] = run_one(request);
+    }
+  });
   return responses;
 }
 
@@ -688,20 +653,6 @@ ServiceStats MiningService::Stats() {
 // ---------------------------------------------------------------------------
 // Recovery.
 
-Status MiningService::ReplayFreshNames(const serve::LogRecord& record) {
-  for (const auto& [id, name] : record.fresh) {
-    if (id != db_.dictionary().size()) {
-      return Status::Corruption("wal replay: fresh name out of id order");
-    }
-    const EventId got = db_.dictionary().Intern(name);
-    if (got != id) {
-      return Status::Corruption("wal replay: fresh name '" + name +
-                                "' already interned");
-    }
-  }
-  return Status::OK();
-}
-
 Status MiningService::ReplayRecord(const serve::LogRecord& record) {
   const auto corrupt = [](const std::string& what) {
     return Status::Corruption("wal replay: " + what);
@@ -717,33 +668,15 @@ Status MiningService::ReplayRecord(const serve::LogRecord& record) {
       }
       return Status::OK();
     }
-    case serve::LogRecordType::kAddSequence: {
-      if (record.seq != db_.size()) {
-        return corrupt("sequence record out of id order");
-      }
-      GSGROW_RETURN_NOT_OK(ReplayFreshNames(record));
-      GSGROW_RETURN_NOT_OK(CheckEventIds(record.events));
-      GSGROW_RETURN_NOT_OK(CheckPositionSpace(0, record.events.size()));
-      const SeqId db_seq = db_.AddSequence(record.events);
-      const SeqId index_seq = index_.AddSequence(record.events);
-      // invariant: record.seq == db_.size() was checked above with a
-      // kCorruption return — hostile log bytes cannot reach this.
-      GSGROW_CHECK(db_seq == record.seq && index_seq == record.seq);
-      ++appends_;
-      return Status::OK();
-    }
+    case serve::LogRecordType::kAddSequence:
     case serve::LogRecordType::kAppendTo: {
-      if (record.seq >= db_.size()) {
-        return corrupt("append record names an unknown sequence");
-      }
-      GSGROW_RETURN_NOT_OK(ReplayFreshNames(record));
-      GSGROW_RETURN_NOT_OK(CheckEventIds(record.events));
-      GSGROW_RETURN_NOT_OK(CheckPositionSpace(db_.SequenceLength(record.seq),
-                                              record.events.size()));
-      db_.AppendToSequence(record.seq, record.events);
-      index_.AppendToSequence(record.seq, record.events);
-      ++appends_;
-      return Status::OK();
+      std::vector<std::pair<EventId, const std::string*>> fresh;
+      fresh.reserve(record.fresh.size());
+      for (const auto& [id, name] : record.fresh) fresh.emplace_back(id, &name);
+      const Status status = ApplyLocked(record.type, record.seq,
+                                        record.events, fresh,
+                                        /*log_us=*/nullptr);
+      return status.ok() ? status : corrupt(status.message());
     }
     case serve::LogRecordType::kEpochAdvance: {
       // Re-run the snapshot the record witnessed; the counter must land on
@@ -796,16 +729,15 @@ Result<std::unique_ptr<MiningService>> MiningService::OpenDurable(
       }
     }
     for (const std::vector<EventId>& events : ckpt->sequences) {
-      GSGROW_RETURN_NOT_OK(CheckEventIds(events));
-      GSGROW_RETURN_NOT_OK(CheckPositionSpace(0, events.size()));
-      const SeqId db_seq = service->db_.AddSequence(events);
-      const SeqId index_seq = service->index_.AddSequence(events);
-      // invariant: both stores were empty and are fed the same validated
-      // checkpoint vector; hostile bytes were rejected above.
-      GSGROW_CHECK(db_seq == index_seq);
+      const Status status = service->ApplyLocked(
+          serve::LogRecordType::kAddSequence,
+          static_cast<SeqId>(service->db_.size()), events, {},
+          /*log_us=*/nullptr);
+      if (!status.ok()) {
+        return Status::Corruption("serve checkpoint: " + status.message());
+      }
     }
     service->index_.RestoreEpoch(ckpt->epoch);
-    service->appends_ = ckpt->sequences.size();
     start_segment = ckpt->wal_segment;
     info.recovered_checkpoint = true;
     info.checkpoint_epoch = ckpt->epoch;

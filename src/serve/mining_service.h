@@ -2,9 +2,12 @@
 // live, appendable corpus and the batch miners of src/core.
 //
 // A MiningService owns one AppendableDatabase + IncrementalInvertedIndex
-// pair kept in lockstep, and executes typed MineRequests against epoch
-// snapshots: every query — or every batch of queries — runs on one
-// immutable, consistent view while appends keep landing on the writer side.
+// pair kept in lockstep by one mutation primitive (ApplyLocked) that every
+// write path — appends, Ingest, WAL replay, checkpoint load — goes
+// through, and whose dictionary is the one authority over event ids. It
+// executes typed MineRequests against epoch snapshots: every query — or
+// every batch of queries — runs on one immutable, consistent view while
+// appends keep landing on the writer side.
 // The request struct covers all four miner facades (all / closed / top-K /
 // gap-constrained), the Table-I semantics selection, and an event-alphabet
 // filter, so the CLI front-end (serve_session.h), mine_cli, the tests, and
@@ -116,13 +119,19 @@ class MiningService {
   /// the checkpoint if one exists, replays the WAL tail, truncates a torn
   /// final record, and resumes logging at the end of the last segment.
   /// Status(kCorruption) — never a crash — on mid-log checksum mismatches,
-  /// missing segments, or checkpoint damage. The result cache starts EMPTY
-  /// after recovery regardless of pre-crash state (the cache is in-memory
-  /// only, and the recover path clears it explicitly as a contract —
-  /// DESIGN.md §12), so a stale pre-crash answer can never be served.
+  /// missing segments, checkpoint damage, or a record or checkpoint
+  /// sequence that fails the append checks (e.g. a reserved event id). The
+  /// result cache starts EMPTY after recovery regardless of pre-crash state
+  /// (the cache is in-memory only, and the recover path clears it
+  /// explicitly as a contract — DESIGN.md §12), so a stale pre-crash answer
+  /// can never be served.
   static Result<std::unique_ptr<MiningService>> OpenDurable(
       const DurabilityOptions& options,
       const ResultCacheOptions& cache_options = {});
+
+  // The mutation API is Append, AppendTo and Ingest. Events enter by NAME:
+  // the service dictionary is the one authority over event ids (DESIGN.md
+  // §8), so one event can never hold two ids nor two events one id.
 
   /// Appends a new sequence of event names; returns its id. Bad input
   /// (position-space exhaustion) and WAL failures come back as a Status —
@@ -139,17 +148,14 @@ class MiningService {
                   obs::RequestTrace* trace = nullptr)
       GSGROW_EXCLUDES(mutex_);
 
-  /// Id-based variants for programmatic feeds (generators, replicated
-  /// streams) whose alphabet is managed by the caller — the dictionary is
-  /// bypassed, names synthesize as "e<id>". InvalidArgument on the reserved
-  /// id kNoEvent.
-  Result<SeqId> AppendIds(std::span<const EventId> events)
-      GSGROW_EXCLUDES(mutex_);
-  Status AppendIdsTo(SeqId seq, std::span<const EventId> events)
-      GSGROW_EXCLUDES(mutex_);
-
   /// Bulk ingestion of a parsed database into an EMPTY service — the one
   /// load path shared by mine_cli and serve_cli (--input preloading).
+  /// Sequence and event ids are preserved. Every id the corpus uses gets a
+  /// dictionary name: its own, or the "e<id>" it prints as (SPMF and
+  /// generator corpora name no events), so a later append of "e5" is id 5.
+  /// InvalidArgument when the service is not empty or a synthesized name
+  /// is already another id's name; a sequence the append checks reject
+  /// returns their Status, and the sequences before it stay loaded.
   Status Ingest(const SequenceDatabase& db) GSGROW_EXCLUDES(mutex_);
 
   /// Takes a consistent snapshot of the current corpus: O(delta) index
@@ -231,33 +237,45 @@ class MiningService {
                                        const MineRequest& request,
                                        obs::RequestTrace* trace);
 
-  // Durable mutation plumbing (all called with mutex_ held — enforced by
-  // the thread-safety analysis under the `thread-safety` preset).
+  // Mutation plumbing (all called with mutex_ held — enforced by the
+  // thread-safety analysis under the `thread-safety` preset).
+  //
+  // The one mutation primitive: kAddSequence adds sequence `seq`, which
+  // must be the next id; kAppendTo extends existing sequence `seq`. It
+  // checks the sequence id, the id and position spaces, the reserved event
+  // id and that `fresh` holds the next dense ids under new names — a failed
+  // check returns a Status and changes nothing. A non-null `log_us` logs
+  // the mutation as one WAL record (durable services) and adds the log
+  // time to it; replay and the checkpoint load pass null. Then it interns
+  // `fresh` and feeds the store and the index the same ids.
+  Status ApplyLocked(
+      serve::LogRecordType type, SeqId seq, std::span<const EventId> ids,
+      std::span<const std::pair<EventId, const std::string*>> fresh,
+      uint64_t* log_us) GSGROW_REQUIRES(mutex_);
+  // Append and AppendTo: resolve names → ApplyLocked → sync per policy,
+  // recording the kWalSync span once.
+  Status AppendLocked(serve::LogRecordType type, SeqId seq,
+                      const std::vector<std::string>& names,
+                      obs::RequestTrace* trace) GSGROW_REQUIRES(mutex_);
   Status LogWalRecordLocked(serve::LogRecordType type,
                             const std::string& payload)
       GSGROW_REQUIRES(mutex_);
   Status SyncWalLocked() GSGROW_REQUIRES(mutex_);
   Status MaybeSyncWalLocked(bool force) GSGROW_REQUIRES(mutex_);
   // Resolves names to ids without interning; new names get the ids they
-  // WILL receive (first-use order) so intern records can be logged before
-  // the dictionary mutates.
+  // WILL receive (first-use order) so they can be logged before the
+  // dictionary mutates.
   void ResolveIdsLocked(
       const std::vector<std::string>& names, std::vector<EventId>* ids,
       std::vector<std::pair<EventId, const std::string*>>* fresh) const
       GSGROW_REQUIRES(mutex_);
-  // Logs intern records for `fresh` + one sequence record, per sync policy.
-  Status LogMutationLocked(
-      const std::vector<std::pair<EventId, const std::string*>>& fresh,
-      serve::LogRecordType type, SeqId seq, std::span<const EventId> events)
-      GSGROW_REQUIRES(mutex_);
   std::shared_ptr<const ServiceSnapshot> SnapshotLocked()
       GSGROW_REQUIRES(mutex_);
   // Applies one replayed WAL record; kCorruption when it contradicts the
-  // state built so far (single-threaded, called only from OpenDurable,
-  // which holds the lock over the whole recovery body).
+  // state built so far, including every check ApplyLocked makes
+  // (single-threaded, called only from OpenDurable, which holds the lock
+  // over the whole recovery body).
   Status ReplayRecord(const serve::LogRecord& record) GSGROW_REQUIRES(mutex_);
-  Status ReplayFreshNames(const serve::LogRecord& record)
-      GSGROW_REQUIRES(mutex_);
 
   Mutex mutex_;  // serializes appends, snapshots, stats
   AppendableDatabase db_ GSGROW_GUARDED_BY(mutex_);

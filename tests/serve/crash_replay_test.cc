@@ -78,7 +78,8 @@ std::vector<Op> MakeWorkload(Rng& rng, size_t num_ops) {
     const size_t len = 2 + rng.UniformInt(4);
     for (size_t k = 0; k < len; ++k) {
       if (rng.Bernoulli(0.1)) {
-        op.names.push_back("n" + std::to_string(next_fresh++));
+        op.names.emplace_back("n");
+        op.names.back() += std::to_string(next_fresh++);
       } else {
         op.names.push_back(base[rng.UniformInt(base.size())]);
       }
@@ -158,13 +159,15 @@ std::string SerializeSurface(MiningService& service) {
     out += "seq " + std::to_string(i) + " len " +
            std::to_string(index.SequenceLength(i)) + " raw";
     for (const EventId e : snapshot->db->sequences()[i].events()) {
-      out += " " + std::to_string(e);
+      out += ' ';
+      out += std::to_string(e);
     }
     out += "\n";
     for (const EventId e : index.EventsInSequence(i)) {
       out += "  e" + std::to_string(e) + ":";
       for (const Position p : index.Positions(i, e)) {
-        out += " " + std::to_string(p);
+        out += ' ';
+        out += std::to_string(p);
       }
       out += "\n";
     }

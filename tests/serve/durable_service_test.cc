@@ -45,6 +45,18 @@ class DurableServiceTest : public ::testing::Test {
     return service.ok() ? std::move(*service) : nullptr;
   }
 
+  // Lays down segment 0 holding exactly one CRC-valid record, as if a
+  // service had logged it and then died.
+  void WriteOneRecordWal(serve::LogRecordType type,
+                         const std::string& payload) {
+    ASSERT_TRUE(persist::CreateDirIfMissing(dir_).ok());
+    Result<persist::WalWriter> wal =
+        persist::WalWriter::Open(serve::WalSegmentPath(dir_, 0));
+    ASSERT_TRUE(wal.ok());
+    ASSERT_TRUE(wal->Append(static_cast<uint8_t>(type), payload).ok());
+    ASSERT_TRUE(wal->Close().ok());
+  }
+
   std::string dir_;
 };
 
@@ -315,17 +327,38 @@ TEST_F(DurableServiceTest, AppendToUnknownSequenceIsNotFound) {
   EXPECT_EQ(Open()->Stats().num_sequences, 0u);
 }
 
-TEST(MiningServiceValidation, ReservedEventIdIsInvalidArgument) {
-  MiningService service;
-  const std::vector<EventId> bad = {0, kNoEvent, 1};
-  EXPECT_EQ(service.AppendIds(bad).status().code(),
-            StatusCode::kInvalidArgument);
-  ASSERT_TRUE(service.AppendIds(std::vector<EventId>{0, 1}).ok());
-  EXPECT_EQ(service.AppendIdsTo(0, bad).code(),
-            StatusCode::kInvalidArgument);
-  // The failed calls left no partial state behind.
-  EXPECT_EQ(service.Stats().num_sequences, 1u);
-  EXPECT_EQ(service.Stats().total_events, 2u);
+// Names are the only way in for live appends, so the reserved event id can
+// only arrive through a log: a CRC-valid record carrying kNoEvent is
+// corruption, reported as a Status — never an InvalidArgument, never a
+// crash.
+TEST_F(DurableServiceTest, ReplayedReservedEventIdIsCorruption) {
+  const std::string name = "a";
+  const std::pair<EventId, const std::string*> fresh[] = {{0, &name}};
+  const EventId events[] = {0, kNoEvent, 0};
+  std::string payload;
+  serve::EncodeSequenceRecord(0, fresh, events, &payload);
+  WriteOneRecordWal(serve::LogRecordType::kAddSequence, payload);
+  DurabilityOptions options;
+  options.dir = dir_;
+  Result<std::unique_ptr<MiningService>> reopened =
+      MiningService::OpenDurable(options);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
+}
+
+// A crash mid-Ingest can leave a log of intern records and no sequence.
+// The recovered service is not empty, so a second Ingest is refused with a
+// Status instead of tripping a store invariant.
+TEST_F(DurableServiceTest, IngestAfterTornBulkLoadIsInvalidArgument) {
+  std::string payload;
+  serve::EncodeInternRecord(0, "x", &payload);
+  WriteOneRecordWal(serve::LogRecordType::kIntern, payload);
+  std::unique_ptr<MiningService> service = Open();
+  ASSERT_NE(service, nullptr);
+  EXPECT_EQ(service->Stats().num_sequences, 0u);
+  Result<SequenceDatabase> db = ParseTextDatabase("x y\n");
+  ASSERT_TRUE(db.ok());
+  EXPECT_EQ(service->Ingest(*db).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(MiningServiceValidation, CheckpointOnInMemoryServiceIsInvalidArgument) {

@@ -4,6 +4,7 @@
 // epoch snapshot; snapshots isolate queries from later appends.
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -288,6 +289,54 @@ TEST(MiningService, IngestSharesTheBulkLoadPath) {
       MakeDatabaseFromStrings({"AABCDABB", "ABCDAB", "BABA"});
   EXPECT_EQ(service.Execute(request).patterns,
             MineClosedFrequent(grown, options).patterns);
+}
+
+// One alphabet: an id-only corpus (no dictionary) gets the "e<id>" names
+// it prints as, so a later append by name lands on the same ids, and every
+// id the index holds has a dictionary name.
+TEST(MiningService, IngestNamesEveryIdOfAnIdOnlyCorpus) {
+  MiningService service;
+  ASSERT_TRUE(service
+                  .Ingest(SequenceDatabase({Sequence({0, 3, 0, 3}),
+                                            Sequence({3, 0}), Sequence({7})}))
+                  .ok());
+  ASSERT_TRUE(service.Append({"e0", "e3", "x"}).ok());
+  ASSERT_TRUE(service.AppendTo(1, {"x", "e1"}).ok());
+  const std::shared_ptr<const ServiceSnapshot> snapshot = service.Snapshot();
+  const EventDictionary& dictionary = snapshot->db->dictionary();
+  EXPECT_EQ(dictionary.Lookup("e0"), 0u);
+  EXPECT_EQ(dictionary.Lookup("e1"), 1u);
+  EXPECT_EQ(dictionary.Lookup("e3"), 3u);
+  EXPECT_EQ(dictionary.Lookup("x"), 8u);
+  for (const EventId e : snapshot->index.present_events()) {
+    EXPECT_TRUE(dictionary.Contains(e)) << e;
+  }
+  // Support is counted over one alphabet: e0 e3 occurs twice in sequence
+  // 0 and once in the appended sequence 2.
+  MineRequest request;
+  request.miner = MineRequest::Miner::kAll;
+  request.options.min_support = 3;
+  request.options.max_pattern_length = 2;
+  request.event_filter = {"e0", "e3"};
+  const MineResponse response = service.Execute(request);
+  ASSERT_TRUE(response.status.ok());
+  const std::set<std::pair<std::string, uint64_t>> expected = {
+      {"e0", 4}, {"e3", 4}, {"e0e3", 3}};
+  EXPECT_EQ(AsSet(*snapshot->db, response.patterns), expected);
+}
+
+TEST(MiningService, IngestRejectsASynthesizedNameThatIsTaken) {
+  // Id 2 is unnamed and would print as "e2", which names id 0 already.
+  EventDictionary dictionary;
+  dictionary.Intern("e2");
+  dictionary.Intern("y");
+  MiningService service;
+  EXPECT_EQ(service
+                .Ingest(SequenceDatabase({Sequence({0, 2}), Sequence({1})},
+                                         dictionary))
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.Stats().num_sequences, 0u);
 }
 
 }  // namespace

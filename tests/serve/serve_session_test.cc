@@ -11,6 +11,7 @@
 #include "gtest/gtest.h"
 
 #include "io/request_io.h"
+#include "io/spmf_format.h"
 #include "obs/metrics.h"
 #include "serve/mining_service.h"
 #include "serve/serve_session.h"
@@ -145,6 +146,30 @@ TEST(ServeSession, EndsAtEofWithoutQuit) {
   const SessionResult result = RunScript("append A B\nstats\n");
   EXPECT_EQ(result.errors, 0);
   EXPECT_NE(result.output.find("stats sequences=1"), std::string::npos);
+}
+
+// One alphabet: an SPMF corpus names no events, and its id 5 prints as
+// "e5" — so appending "e5" must extend that same event, not mint a second
+// "e5" with a new id (which would split the support across two patterns).
+TEST(ServeSession, AppendsByNameJoinAnSpmfCorpusAlphabet) {
+  Result<SequenceDatabase> db =
+      ParseSpmfDatabase("5 -1 7 -1 5 -1 7 -1 -2\n5 -1 7 -1 -2\n");
+  ASSERT_TRUE(db.ok());
+  MiningService service;
+  ASSERT_TRUE(service.Ingest(*db).ok());
+  std::istringstream in(
+      "append e5 e7\n"
+      "append e5 e7\n"
+      "mine algo=closed min_sup=2\n"
+      "quit\n");
+  std::ostringstream out;
+  EXPECT_EQ(RunServeSession(service, in, out), 0);
+  EXPECT_EQ(out.str(),
+            "ok seq=2 len=2\n"
+            "ok seq=3 len=2\n"
+            "result patterns=1 epoch=1\n"
+            "5\te5 e7\n"
+            "bye\n");
 }
 
 TEST(ServeSession, ExtendUnknownSequenceIsNotFound) {

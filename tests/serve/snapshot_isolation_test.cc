@@ -12,8 +12,10 @@
 // non-epoch-consistent view would break that equality (or trip TSan).
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -27,11 +29,14 @@
 namespace gsgrow {
 namespace {
 
+// Events enter the service by name; a five-name alphabet.
+constexpr std::array<const char*, 5> kNames = {"a", "b", "c", "d", "e"};
+
 TEST(ServeSnapshotIsolation, AppendWhileMining) {
   MiningService service;
   // Seed corpus so early snapshots have something to mine.
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(service.AppendIds(std::vector<EventId>{0, 1, 2, 0, 1}).ok());
+    ASSERT_TRUE(service.Append({"a", "b", "c", "a", "b"}).ok());
   }
 
   std::atomic<bool> stop{false};
@@ -45,10 +50,10 @@ TEST(ServeSnapshotIsolation, AppendWhileMining) {
     uint64_t appended = 0;
     constexpr uint64_t kMaxNewSequences = 400;
     while (!stop.load(std::memory_order_relaxed)) {
-      std::vector<EventId> events;
+      std::vector<std::string> events;
       const size_t len = 1 + static_cast<size_t>(rng.UniformInt(6));
       for (size_t i = 0; i < len; ++i) {
-        events.push_back(static_cast<EventId>(rng.UniformInt(5)));
+        events.push_back(kNames[rng.UniformInt(kNames.size())]);
       }
       if (appended >= kMaxNewSequences) {
         // Corpus is big enough; idle (but stay alive) so late reader
@@ -59,9 +64,9 @@ TEST(ServeSnapshotIsolation, AppendWhileMining) {
       if (rng.Bernoulli(0.3)) {
         const SeqId target = static_cast<SeqId>(
             rng.UniformInt(service.Stats().num_sequences));
-        ASSERT_TRUE(service.AppendIdsTo(target, events).ok());
+        ASSERT_TRUE(service.AppendTo(target, events).ok());
       } else {
-        ASSERT_TRUE(service.AppendIds(events).ok());
+        ASSERT_TRUE(service.Append(events).ok());
       }
       ++appended;
     }
@@ -118,7 +123,7 @@ TEST(ServeSnapshotIsolation, AppendWhileMining) {
 TEST(ServeSnapshotIsolation, ConcurrentBatchesShareSnapshotsSafely) {
   MiningService service;
   for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(service.AppendIds(std::vector<EventId>{0, 1, 0, 2, 1}).ok());
+    ASSERT_TRUE(service.Append({"a", "b", "a", "c", "b"}).ok());
   }
   std::vector<MineRequest> requests(6);
   for (size_t i = 0; i < requests.size(); ++i) {
@@ -133,7 +138,7 @@ TEST(ServeSnapshotIsolation, ConcurrentBatchesShareSnapshotsSafely) {
   std::atomic<bool> stop{false};
   std::thread writer([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      ASSERT_TRUE(service.AppendIds(std::vector<EventId>{2, 0, 1}).ok());
+      ASSERT_TRUE(service.Append({"c", "a", "b"}).ok());
     }
   });
   std::vector<MineResponse> a, b;

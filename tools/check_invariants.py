@@ -190,8 +190,7 @@ def rule_bench_cell_index_bytes(relpath, raw_lines, code_lines):
 
 _STATUS_VERBS = (
     "Sync", "Close", "Flush", "Checkpoint", "Ingest", "Append", "AppendTo",
-    "AppendIds", "AppendIdsTo", "WriteFileAtomic", "RemoveFileIfExists",
-    "SyncDir", "CreateDirIfMissing",
+    "WriteFileAtomic", "RemoveFileIfExists", "SyncDir", "CreateDirIfMissing",
 )
 
 
@@ -306,6 +305,23 @@ def rule_oracle_outside_src(relpath, raw_lines, code_lines):
     return out
 
 
+def rule_thread_spawn(relpath, raw_lines, code_lines):
+    """DESIGN.md §6: product code starts threads in one place, RunWorkers
+    in core/parallel_engine.h (inline for one worker, spawn + join
+    otherwise). A std::thread (or std::jthread) named anywhere else under
+    src/ is a second pool with its own spawn/join/oversubscription rules.
+    std::thread::hardware_concurrency and std::this_thread are not
+    construction and do not fire."""
+    del raw_lines
+    out = []
+    pat = re.compile(r"\bstd::j?thread\b(?!\s*::)")
+    for ln, line in enumerate(code_lines, 1):
+        if pat.search(line):
+            out.append((ln, "std::thread outside core/parallel_engine.h; "
+                            "start workers with RunWorkers"))
+    return out
+
+
 RULES = [
     ("raw-new", rule_raw_new,
      lambda p: _path_under(p, "src/") and p != "src/util/arena.cc"),
@@ -330,6 +346,8 @@ RULES = [
     ("oracle-outside-src", rule_oracle_outside_src,
      lambda p: _path_under(p, "src/")
      and p not in ("src/core/reference.h", "src/core/reference.cc")),
+    ("thread-spawn", rule_thread_spawn,
+     lambda p: _path_under(p, "src/") and p != "src/core/parallel_engine.h"),
 ]
 
 RULE_IDS = {rid for rid, _, _ in RULES}
